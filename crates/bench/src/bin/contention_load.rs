@@ -1,7 +1,7 @@
 //! Contention scaling benchmark: request latency under 1/2/4/8 concurrent
 //! clients with all traffic aimed at one cache shard vs spread across
-//! shards, plus the SoA Monte-Carlo kernel's ns/sample against the scalar
-//! (one-lane) kernel.
+//! shards, plus the SoA Monte-Carlo kernel's ns/sample against the plain
+//! per-sample reference (`criticality_reference`).
 //!
 //! Writes `BENCH_scaling.json` (or the path given with `--out`) in the
 //! shape of the other `BENCH_*.json` reports. The SoA lanes resolve their
@@ -22,7 +22,7 @@ use localwm_cdfg::generators::{layered, mediabench, mediabench_apps, LayeredConf
 use localwm_cdfg::write_cdfg;
 use localwm_engine::{DesignContext, Parallelism};
 use localwm_serve::{Client, Request, RequestKind, ServeConfig, ServerHandle};
-use localwm_timing::{criticality_in, with_soa_lanes, KindBounds};
+use localwm_timing::{criticality_in, criticality_reference, KindBounds};
 use serde::Value;
 
 const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -190,7 +190,7 @@ fn main() {
         }
     }
 
-    // ---- SoA kernel vs scalar, against the committed pre-SoA baseline ----
+    // ---- SoA kernel vs the reference, against the committed pre-SoA baseline ----
     let g = layered(&LayeredConfig {
         ops: SOA_OPS,
         layers: ((SOA_OPS as f64).sqrt() * 1.2) as usize,
@@ -202,12 +202,13 @@ fn main() {
         .iter()
         .find(|(n, _)| n == &format!("engine/criticality/serial/{SOA_OPS}"))
         .map(|&(_, b)| b);
-    for (tag, width) in [("soa-8", 8usize), ("scalar", 1)] {
-        let mean = mean_ns(soa_rounds, || {
-            with_soa_lanes(width, || {
-                criticality_in(&ctx, &model, MC_SAMPLES, 7, Parallelism::Serial)
-            })
-        });
+    let kernel = mean_ns(soa_rounds, || {
+        criticality_in(&ctx, &model, MC_SAMPLES, 7, Parallelism::Serial)
+    });
+    let reference = mean_ns(soa_rounds, || {
+        criticality_reference(ctx.graph(), &model, MC_SAMPLES, 7)
+    });
+    for (tag, mean) in [("soa", kernel), ("reference", reference)] {
         lanes.push(Lane {
             name: format!("engine/criticality/{tag}/{SOA_OPS}"),
             mean_ns: mean,
@@ -266,9 +267,10 @@ fn main() {
         "contention_load: {}x{per_client} analyze(samples={req_samples}) requests \
          per point, distinct seeds (no coalescing), 4 workers, cache_cap 16; \
          one-shard = every client hammers designs[0] (all cache traffic on one \
-         shard), spread = designs rotate per client; soa-8/scalar = Monte-Carlo \
+         shard), spread = designs rotate per client; soa/reference = Monte-Carlo \
          criticality ({MC_SAMPLES} samples, layered {SOA_OPS} ops, seed 7, \
-         {soa_rounds} rounds) at SoA lane widths 8 and 1, baseline resolved \
+         {soa_rounds} rounds) by the SoA kernel and by the per-sample \
+         reference, baseline resolved \
          from {baseline_path} (pre-SoA serial kernel); host had {cores} CPU \
          core(s), so multi-client points measure contention overhead, not \
          parallel speedup",

@@ -38,6 +38,27 @@ impl DelayInterval {
     }
 }
 
+/// Σ of every interval's `hi`, or `None` if the sum overflows `u64`.
+///
+/// Every path delay — each arrival, tail and circuit delay a timing sweep
+/// computes — is a sum of distinct nodes' delays, so it is at most this
+/// sum. When the sum fits a word type, no path arithmetic in that type
+/// can overflow; callers use it to reject overflowing bounds up front and
+/// to pick the narrowest exact row type.
+///
+/// ```
+/// use localwm_engine::{checked_hi_sum, DelayInterval};
+///
+/// let bounds = [DelayInterval::new(1, 3), DelayInterval::fixed(4)];
+/// assert_eq!(checked_hi_sum(bounds), Some(7));
+/// assert_eq!(checked_hi_sum([DelayInterval::fixed(u64::MAX); 2]), None);
+/// ```
+pub fn checked_hi_sum(bounds: impl IntoIterator<Item = DelayInterval>) -> Option<u64> {
+    bounds
+        .into_iter()
+        .try_fold(0u64, |sum, b| sum.checked_add(b.hi))
+}
+
 /// A delay model assigning each node a (possibly input-dependent) delay
 /// interval.
 pub trait DelayBounds {

@@ -57,7 +57,7 @@ pub use bounded::{
     possibly_critical, possibly_critical_with_arrival, possibly_critical_with_csr, BoundedArrival,
 };
 pub use context::{DesignContext, EngineError, WindowTable};
-pub use delay::{DelayBounds, DelayInterval, DynamicBounds, KindBounds};
+pub use delay::{checked_hi_sum, DelayBounds, DelayInterval, DynamicBounds, KindBounds};
 pub use editor::DesignEditor;
 pub use par::{par_map, Parallelism};
 pub use pool::{pool_stats, set_pool_threads, PoolStats};

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use localwm_attack::{AttackConfig, AttackKind, StrengthConfig};
 use localwm_core::{SchedWmConfig, SchedulingWatermarker, Signature, WatermarkError};
-use localwm_engine::{DesignContext, KindBounds, Parallelism};
+use localwm_engine::{checked_hi_sum, DelayBounds, DesignContext, KindBounds, Parallelism};
 use localwm_sched::{parse_schedule, write_schedule};
 use localwm_timing::criticality_in;
 use serde::{object, Serialize, Value};
@@ -36,13 +36,25 @@ fn design_context(cache: &ContextCache, req: &Request) -> Result<Arc<DesignConte
         .map_err(|e| bad_request(format!("bad design: {e}")))
 }
 
-pub(crate) fn bounds(req: &Request) -> Result<KindBounds, ServiceError> {
+/// The request's delay model over the context's graph. Refuses bounds
+/// whose path delays could overflow `u64` — Σ of every node's `hi`, the
+/// same sum the Monte-Carlo kernel picks its row type by — so no analysis
+/// ever runs on them.
+pub(crate) fn bounds(ctx: &DesignContext, req: &Request) -> Result<KindBounds, ServiceError> {
     let lo = req.lo.unwrap_or(1);
     let hi = req.hi.unwrap_or(3);
     if lo > hi {
         return Err(bad_request(format!("bad delay bounds: lo {lo} > hi {hi}")));
     }
-    Ok(KindBounds::uniform(lo, hi))
+    let model = KindBounds::uniform(lo, hi);
+    let g = ctx.graph();
+    if checked_hi_sum(g.node_ids().map(|v| model.bounds(g, v))).is_none() {
+        return Err(bad_request(format!(
+            "bad delay bounds: hi {hi} over {} ops overflows a 64-bit path delay",
+            g.op_count()
+        )));
+    }
+    Ok(model)
 }
 
 /// Executes one queued request against the shared cache with
@@ -180,7 +192,7 @@ pub(crate) fn timing_body(ctx: &DesignContext, req: &Request) -> HandlerResult {
         .node_ids()
         .filter(|&n| g.kind(n).is_schedulable() && w.mobility(n) == 0)
         .count();
-    let model = bounds(req)?;
+    let model = bounds(ctx, req)?;
     let interval = ctx.bounded_critical_path(&model);
     let maybe = ctx.possibly_critical_shared(&model);
     Ok(object(vec![
@@ -196,7 +208,7 @@ pub(crate) fn timing_body(ctx: &DesignContext, req: &Request) -> HandlerResult {
 
 fn analyze(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
     let ctx = design_context(cache, req)?;
-    let model = bounds(req)?;
+    let model = bounds(&ctx, req)?;
     let samples = req.samples.unwrap_or(100);
     let seed = req.seed.unwrap_or(0);
     let report = criticality_in(&ctx, &model, samples, seed, par);

@@ -7,7 +7,7 @@ use localwm_cdfg::designs::iir4_parallel;
 use localwm_cdfg::generators::{mediabench, mediabench_apps};
 use localwm_cdfg::write_cdfg;
 use localwm_serve::{Client, Request, RequestKind, ServeConfig};
-use serde::Value;
+use serde::{Serialize, Value};
 
 fn start_server(workers: usize, queue_depth: usize) -> localwm_serve::ServerHandle {
     localwm_serve::start(ServeConfig {
@@ -404,15 +404,31 @@ fn requests_during_drain_are_refused_as_shutting_down() {
     busy.send(&slow_request(1, &design)).unwrap();
     wait_for_stats(&handle, |r| int_gauge(r, &["busy_workers"]) == 1);
 
+    let mut late = connect(&handle);
     let mut admin = connect(&handle);
     admin.send(&Request::new(RequestKind::Shutdown)).unwrap();
 
-    // While the drain is in progress, new work is refused. The drain can
-    // also finish first on a fast box, so a refused or closed connection
-    // is an acceptable outcome too.
-    if let Ok(mut late) =
-        Client::connect_within(&handle.addr().to_string(), Duration::from_millis(500))
-    {
+    // The shutdown is read on the admin connection's own thread, so a
+    // request sent right away may still be accepted ahead of it. Session
+    // requests are answered inline, never queued behind the busy worker:
+    // closing a session that does not exist observes the drain flag the
+    // moment it flips. A closed connection means the drain already
+    // finished, which a fast box may manage.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let draining = loop {
+        let Ok(resp) = late.call(&session_request(RequestKind::Close, 8, "ghost")) else {
+            break false;
+        };
+        let code = resp.error.expect("typed error").code;
+        if code.as_str() == "shutting_down" {
+            break true;
+        }
+        assert_eq!(code.as_str(), "session_expired");
+        assert!(std::time::Instant::now() < deadline, "drain never began");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    // While the drain is in progress, new work is refused.
+    if draining {
         if let Ok(resp) = late.call(&timing_request(9, &design)) {
             assert!(!resp.ok);
             assert_eq!(
@@ -491,6 +507,59 @@ fn cluster_stats_on_a_single_backend_is_a_typed_bad_request() {
     let err = resp.error.expect("typed error");
     assert_eq!(err.code, localwm_serve::ErrorCode::BadRequest);
     assert!(err.message.contains("localwm-gateway"));
+    handle.shutdown();
+}
+
+#[test]
+fn overflowing_delay_bounds_are_a_typed_bad_request() {
+    // A 3-op chain: its circuit delay is the sum of all three delays, so
+    // hi = u64::MAX / 2 cannot be represented while u64::MAX / 3 just can.
+    let mut g = localwm_cdfg::Cdfg::new();
+    let mut prev = g.add_named_node(localwm_cdfg::OpKind::Input, "x");
+    for name in ["a", "b", "c"] {
+        let op = g.add_named_node(localwm_cdfg::OpKind::Neg, name);
+        g.add_data_edge(prev, op).unwrap();
+        prev = op;
+    }
+    let design = write_cdfg(&g);
+
+    let handle = start_server(1, 8);
+    let mut c = connect(&handle);
+    let mut open = session_request(RequestKind::Open, 1, "chain");
+    open.design = Some(design.clone());
+    let resp = c.call(&open).unwrap();
+    assert!(resp.ok, "open failed: {:?}", resp.error);
+    let with_hi = |mut r: Request, hi: u64| {
+        r.design = r.session.is_none().then(|| design.clone());
+        r.lo = Some(1);
+        r.hi = Some(hi);
+        r.samples = Some(4);
+        r
+    };
+    let requests = [
+        Request::new(RequestKind::Timing),
+        Request::new(RequestKind::Analyze),
+        session_request(RequestKind::Timing, 2, "chain"),
+        session_request(RequestKind::Analyze, 3, "chain"),
+    ];
+    for req in &requests {
+        let resp = c.call(&with_hi(req.clone(), u64::MAX / 2)).unwrap();
+        assert!(!resp.ok, "{}", req.kind);
+        let err = resp.error.expect("typed error");
+        assert_eq!(err.code.as_str(), "bad_request", "{}", req.kind);
+        assert!(err.message.contains("overflows"), "{}", err.message);
+    }
+    // The worker survived, and the largest representable bound answers.
+    for req in &requests {
+        let resp = c.call(&with_hi(req.clone(), u64::MAX / 3)).unwrap();
+        assert!(resp.ok, "{}: {:?}", req.kind, resp.error);
+        assert_eq!(
+            resp.result_field("bounded_hi"),
+            Some(&u64::MAX.to_value()),
+            "{}",
+            req.kind
+        );
+    }
     handle.shutdown();
 }
 

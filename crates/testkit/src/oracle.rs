@@ -23,10 +23,6 @@
 //!   byte — typed errors included.
 //! * `tcp-binary-pipelined-w8-cold` / `-warm` — the pipelined passes over
 //!   an `LWMB1` framed binary connection.
-//! * `inproc-scalar` — the serial handlers again, but with the Monte-Carlo
-//!   kernel pinned to one SoA lane
-//!   ([`with_soa_lanes`](localwm_timing::with_soa_lanes)`(1, ..)`), so the
-//!   vectorized lane width provably never leaks into the wire bytes.
 //! * `sharded-contended-c0..cN` — concurrent TCP clients each replay the
 //!   *full* stream against one live multi-worker server, so its sharded
 //!   cache, single-flight coalescing, and work-stealing pool run under
@@ -312,12 +308,6 @@ pub fn run_differential(
         (
             "inproc-env".to_owned(),
             inproc_lines(requests, cache_cap, Parallelism::from_env()),
-        ),
-        (
-            "inproc-scalar".to_owned(),
-            localwm_timing::with_soa_lanes(1, || {
-                inproc_lines(requests, cache_cap, Parallelism::Serial)
-            }),
         ),
         ("tcp-cold".to_owned(), tcp_cold),
         ("tcp-warm".to_owned(), tcp_warm),

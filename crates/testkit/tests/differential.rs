@@ -18,7 +18,6 @@ fn corpus_lanes_are_byte_identical() {
         "inproc-serial",
         "inproc-threads3",
         "inproc-env",
-        "inproc-scalar",
         "tcp-cold",
         "tcp-warm",
         "tcp-binary-cold",

@@ -45,7 +45,7 @@ use std::collections::BinaryHeap;
 
 use localwm_engine::{DesignContext, Parallelism};
 
-use crate::statistical::soa_sweep;
+use crate::statistical::{soa_sweep, SampleRows, Sampler};
 use crate::{criticality_in, CriticalityReport, DelayBounds, DelayInterval};
 
 /// Largest `samples × nodes` product the cache will retain (three `u64`
@@ -308,10 +308,10 @@ impl CriticalityCache {
     /// The full path: one serial run through the shared SoA block kernel
     /// ([`soa_sweep`]) — the same code `criticality_in` times with, so the
     /// captured draws, finish times, and tail lengths are the scratch
-    /// run's by construction (per-sample seeding makes partitioning and
-    /// lane width irrelevant to the values). A transpose sink rotates each
-    /// node-major lane block into the cache's sample-major arrays, which
-    /// is the layout the per-sample patch worklists want.
+    /// run's by construction (per-sample seeding makes partitioning
+    /// irrelevant to the values). The kernel records every sample's rows
+    /// sample-major, widened to `u64`, which is the layout the per-sample
+    /// patch worklists want.
     fn capture_from_scratch(
         &mut self,
         ctx: &DesignContext,
@@ -319,44 +319,16 @@ impl CriticalityCache {
         seed: u64,
         bounds: Vec<DelayInterval>,
     ) -> CriticalityReport {
-        let order = ctx.topo();
-        let preds = ctx.preds_csr();
-        let succs = ctx.succs_csr();
         let n = ctx.graph().node_count();
-
-        let mut all_d = vec![0u64; samples * n];
-        let mut all_finish = vec![0u64; samples * n];
-        let mut all_tail = vec![0u64; samples * n];
-        let mut all_crit = vec![false; samples * n];
-        let mut hits = vec![0u64; n];
-        let mut circuits = Vec::with_capacity(samples);
-        let lanes = crate::statistical::soa_lanes();
-        soa_sweep(
-            order,
-            preds,
-            succs,
-            &bounds,
+        let mut rows = SampleRows::zeroed(samples * n);
+        let sweep = soa_sweep(
+            ctx.topo(),
+            ctx.preds_csr(),
+            ctx.succs_csr(),
+            &Sampler::new(&bounds),
             seed,
-            0,
-            samples,
-            lanes,
-            |blk| {
-                for lane in 0..blk.k {
-                    let base = (blk.s0 + lane) * n;
-                    let circuit = blk.circuit[lane];
-                    for v in 0..n {
-                        let f = blk.finish[v * blk.lanes + lane];
-                        let t = blk.tail[v * blk.lanes + lane];
-                        all_d[base + v] = blk.d[v * blk.lanes + lane];
-                        all_finish[base + v] = f;
-                        all_tail[base + v] = t;
-                        let hit = f + t == circuit;
-                        all_crit[base + v] = hit;
-                        hits[v] += u64::from(hit);
-                    }
-                    circuits.push(circuit);
-                }
-            },
+            0..samples,
+            Some(&mut rows),
         );
         self.capture = Some(Capture {
             samples,
@@ -364,12 +336,12 @@ impl CriticalityCache {
             generation: ctx.generation(),
             n,
             bounds,
-            d: all_d,
-            finish: all_finish,
-            tail: all_tail,
-            crit: all_crit,
-            circuit: circuits,
-            hits,
+            d: rows.d,
+            finish: rows.finish,
+            tail: rows.tail,
+            crit: rows.crit,
+            circuit: sweep.circuit,
+            hits: sweep.hits,
         });
         report_from(self.capture.as_ref().expect("just captured"))
     }

@@ -39,9 +39,9 @@ mod incremental;
 mod statistical;
 
 pub use localwm_engine::{
-    bounded_arrival, bounded_critical_path, possibly_critical, BoundedArrival, DelayBounds,
-    DelayInterval, DesignContext, DynamicBounds, KindBounds, UnitTiming,
+    bounded_arrival, bounded_critical_path, checked_hi_sum, possibly_critical, BoundedArrival,
+    DelayBounds, DelayInterval, DesignContext, DynamicBounds, KindBounds, UnitTiming,
 };
 
 pub use incremental::CriticalityCache;
-pub use statistical::{criticality, criticality_in, with_soa_lanes, CriticalityReport};
+pub use statistical::{criticality, criticality_in, criticality_reference, CriticalityReport};

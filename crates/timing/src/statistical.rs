@@ -13,33 +13,47 @@
 //!
 //! # The SoA kernel
 //!
-//! Samples are independent, so the sweep processes them `K` at a time in a
-//! structure-of-arrays layout ([`soa_sweep`]): every per-node quantity
-//! (delay draw, finish time, tail length) is a contiguous `K`-wide lane
-//! row, and the forward/backward passes walk the memoized CSR once per
-//! *block* doing branch-free `max`/`add` over whole lane rows — the shape
-//! LLVM autovectorizes. Determinism is untouched because the lanes never
-//! interact: lane `j` of a block starting at sample `s0` draws from
-//! `sample_seed(seed, s0 + j)`, in node-index order with fixed (`lo ==
-//! hi`) intervals skipping their draw — the exact RNG stream the scalar
-//! loop used — and integer `max`/`add` have no rounding to reorder. `K =
-//! 1` *is* the scalar loop, just spelled once. A run whose sample count
-//! `K` does not divide ends with one short block that simply uses fewer
-//! lanes.
+//! Samples are independent, so the sweep processes them [`LANES`] at a
+//! time in a structure-of-arrays layout ([`soa_sweep`]): every per-node
+//! quantity (delay draw, finish time, path length below) is one
+//! `[T; LANES]` row, and the forward/backward passes walk the memoized CSR
+//! once per *block* doing branch-free `max`/`add` over whole rows — the
+//! shape LLVM autovectorizes. Three choices are made once per run:
 //!
-//! The backward pass caches circuit-independent **tails** (longest delay
-//! path strictly below each node) instead of required times; a node is
-//! critical iff `finish[v] + tail[v] == circuit`, which equals the
-//! push-form `finish == required` test because `required[v] = circuit −
-//! tail[v]` (see the proof in [`crate::CriticalityCache`]'s module docs).
-//! This is also the form the incremental cache captures, so the cache's
-//! from-scratch path reuses this kernel verbatim through a transpose sink.
+//! * **The sampler.** [`Sampler`] sorts nodes into fixed (`lo == hi`, no
+//!   draw — their rows are written once) and drawn ones, each drawn node
+//!   carrying a precomputed [`Uniform`] (power-of-two mask or rejection
+//!   threshold), so no draw pays a `%`. Draws go node-major over the
+//!   block's `LANES` generators: lane `j` of a block starting at sample
+//!   `s0` draws from `sample_seed(seed, s0 + j)` in node-index order with
+//!   fixed nodes skipping their draw — the per-sample stream of
+//!   [`criticality_reference`], value for value.
+//! * **The row type.** Every path delay is at most Σ of every node's `hi`
+//!   ([`checked_hi_sum`]); when that fits `u32` the rows are `u32`,
+//!   twice the lanes per vector register, otherwise `u64`. Integer
+//!   `max`/`add` is exact in either, so the choice never shows in the
+//!   output. A sum overflowing `u64` is refused before any sampling.
+//! * **The work split.** Worker ranges are contiguous; per-sample seeding
+//!   makes the split irrelevant to the result. A range that `LANES` does
+//!   not divide ends with one block whose dead lanes are masked out.
+//!
+//! The backward pass keeps circuit-independent path lengths instead of
+//! required times, and counts criticality in the same walk: a node is
+//! critical iff `finish[v] + tail[v] == circuit`, where `tail[v]` is the
+//! longest delay path strictly below `v`. That equals the push-form
+//! `finish == required` test because `required[v] = circuit − tail[v]`
+//! (see the proof in [`crate::CriticalityCache`]'s module docs), which is
+//! the form [`criticality_reference`] checks directly. The incremental
+//! cache's from-scratch capture runs this same kernel and has it record
+//! every sample's rows, widened to `u64`.
 
-use std::cell::Cell;
+use std::array;
+use std::ops::{Add, Range};
 use std::time::Instant;
 
 use localwm_cdfg::{Cdfg, Csr, NodeId};
-use localwm_engine::{par_map, DesignContext, Parallelism};
+use localwm_engine::{checked_hi_sum, par_map, DesignContext, Parallelism};
+use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,149 +106,213 @@ impl CriticalityReport {
     }
 }
 
-/// Lane width the SoA kernel uses unless overridden: wide enough to fill a
-/// 512-bit vector of `u64`, small enough that three `n × K` scratch rows
-/// stay cache-resident for realistic designs.
-const DEFAULT_SOA_LANES: usize = 8;
+/// Samples per SoA block: eight `u32` lanes fill a 256-bit vector, and
+/// three `n`-row scratch arrays stay cache-resident for realistic designs.
+const LANES: usize = 8;
 
-thread_local! {
-    /// Per-thread lane-width override; `None` means [`DEFAULT_SOA_LANES`].
-    static LANE_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+/// Per-run delay sampler, built once from the per-node bounds.
+pub(crate) struct Sampler {
+    /// Every node's delay if fixed (`lo == hi`), `0` for drawn nodes.
+    fixed: Vec<u64>,
+    /// Drawn nodes ascending by index, with their precomputed samplers.
+    drawn: Vec<(usize, Uniform<u64>)>,
+    /// Σ of every node's `hi` exceeds `u32`: rows must be `u64`.
+    wide: bool,
 }
 
-/// Runs `f` with the SoA kernel's lane width pinned to `lanes` **on this
-/// thread** (clamped to at least 1). The width is resolved once at each
-/// `criticality*` entry point on the calling thread and carried into its
-/// worker closures, so the override covers parallel sweeps started inside
-/// `f` even though the workers run elsewhere.
-///
-/// Lane width never changes results — every width is byte-identical (the
-/// differential oracles pin this) — only how many samples share a pass.
-/// This hook exists so tests and oracle lanes can exercise specific widths
-/// (`1` = the scalar path, a prime = perpetual tail blocks) without an
-/// environment variable racing other threads.
-pub fn with_soa_lanes<R>(lanes: usize, f: impl FnOnce() -> R) -> R {
-    let prev = LANE_OVERRIDE.with(|c| c.replace(Some(lanes.max(1))));
-    let result = f();
-    LANE_OVERRIDE.with(|c| c.set(prev));
-    result
+impl Sampler {
+    /// # Panics
+    ///
+    /// Panics if Σ of every node's `hi` overflows `u64`.
+    pub(crate) fn new(bounds: &[DelayInterval]) -> Sampler {
+        let total = checked_hi_sum(bounds.iter().copied())
+            .expect("delay bounds overflow: the sum of every node's hi must fit a u64");
+        Sampler {
+            fixed: bounds
+                .iter()
+                .map(|b| if b.lo == b.hi { b.lo } else { 0 })
+                .collect(),
+            drawn: bounds
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.lo != b.hi)
+                .map(|(v, b)| (v, Uniform::new_inclusive(b.lo, b.hi)))
+                .collect(),
+            wide: u32::try_from(total).is_err(),
+        }
+    }
 }
 
-/// The lane width in effect on the calling thread.
-pub(crate) fn soa_lanes() -> usize {
-    LANE_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or(DEFAULT_SOA_LANES)
-        .max(1)
+/// A lane type that holds every path delay of the run exactly.
+trait Word: Copy + Default + Ord + Add<Output = Self> + Into<u64> {
+    /// Narrows a delay; [`Sampler`] picked the type so that it fits.
+    fn narrow(v: u64) -> Self;
 }
 
-/// One finished block of the SoA sweep, handed to the sink: `k` live lanes
-/// (samples `s0 .. s0 + k`) in node-major rows of stride `lanes`. Quantity
-/// `q` of node index `v` in lane `j` sits at `q[v * lanes + j]`.
-pub(crate) struct SoaBlock<'a> {
-    /// Sample index of lane 0.
-    pub s0: usize,
-    /// Live lanes in this block (`< lanes` only in a final short block).
-    pub k: usize,
-    /// Row stride.
-    pub lanes: usize,
+impl Word for u32 {
+    #[inline]
+    fn narrow(v: u64) -> Self {
+        v as u32
+    }
+}
+
+impl Word for u64 {
+    #[inline]
+    fn narrow(v: u64) -> Self {
+        v
+    }
+}
+
+type Row<T> = [T; LANES];
+
+#[inline(always)]
+fn max_into<T: Word>(acc: &mut Row<T>, row: &Row<T>) {
+    for (a, &r) in acc.iter_mut().zip(row) {
+        *a = (*a).max(r);
+    }
+}
+
+#[inline(always)]
+fn add<T: Word>(a: Row<T>, b: Row<T>) -> Row<T> {
+    array::from_fn(|lane| a[lane] + b[lane])
+}
+
+/// What one sweep over a sample range produces.
+pub(crate) struct Sweep {
+    /// Per node: samples of the range in which it was critical.
+    pub hits: Vec<u64>,
+    /// Per sample, in sample order: the circuit delay (max finish).
+    pub circuit: Vec<u64>,
+}
+
+/// Every sample's per-node state, sample-major: node `v` of the range's
+/// `s`-th sample sits at `[s * n + v]`.
+pub(crate) struct SampleRows {
     /// Delay draws.
-    pub d: &'a [u64],
+    pub d: Vec<u64>,
     /// Forward finish times.
-    pub finish: &'a [u64],
+    pub finish: Vec<u64>,
     /// Tail lengths (longest delay path strictly below the node).
-    pub tail: &'a [u64],
-    /// Per-lane circuit delay (max finish), indexed `0 .. k`.
-    pub circuit: &'a [u64],
+    pub tail: Vec<u64>,
+    /// Critical-node flags (`finish + tail == circuit`).
+    pub crit: Vec<bool>,
 }
 
-/// The Monte-Carlo inner loop: times samples `lo .. hi` of the run
-/// `(seed, bounds)` in K-lane SoA blocks over the memoized CSR, calling
-/// `sink` once per block. Single source of truth for the per-sample math —
+impl SampleRows {
+    pub(crate) fn zeroed(cells: usize) -> SampleRows {
+        SampleRows {
+            d: vec![0; cells],
+            finish: vec![0; cells],
+            tail: vec![0; cells],
+            crit: vec![false; cells],
+        }
+    }
+}
+
+/// The Monte-Carlo inner loop: times samples `range` of the run
+/// `(seed, sampler)` in `LANES`-wide SoA blocks over the memoized CSR,
+/// in the row type the sampler picked. With `rows`, also records every
+/// sample's state there. Single source of truth for the per-sample math —
 /// the parallel sweep and the incremental cache's capture both drive it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
+pub(crate) fn soa_sweep(
     order: &[NodeId],
     preds: &Csr,
     succs: &Csr,
-    bounds: &[DelayInterval],
+    sampler: &Sampler,
     seed: u64,
-    lo: usize,
-    hi: usize,
-    lanes: usize,
-    mut sink: F,
-) {
+    range: Range<usize>,
+    rows: Option<&mut SampleRows>,
+) -> Sweep {
+    if sampler.wide {
+        sweep_rows::<u64>(order, preds, succs, sampler, seed, range, rows)
+    } else {
+        sweep_rows::<u32>(order, preds, succs, sampler, seed, range, rows)
+    }
+}
+
+fn sweep_rows<T: Word>(
+    order: &[NodeId],
+    preds: &Csr,
+    succs: &Csr,
+    sampler: &Sampler,
+    seed: u64,
+    range: Range<usize>,
+    mut rows: Option<&mut SampleRows>,
+) -> Sweep {
     let n = order.len();
-    let mut d = vec![0u64; n * lanes];
-    let mut finish = vec![0u64; n * lanes];
-    let mut tail = vec![0u64; n * lanes];
-    let mut circuit = vec![0u64; lanes];
-    let mut acc = vec![0u64; lanes];
-    let mut s = lo;
-    while s < hi {
-        let k = lanes.min(hi - s);
-        if k < lanes {
-            // Final short block: clear the dead lanes' draws so the
-            // full-width arithmetic below stays bounded (their outputs are
-            // never read).
-            d.fill(0);
-        }
-        // One RNG per live lane, draws in node-index order with fixed
-        // intervals skipping theirs — the historical per-sample stream.
-        for lane in 0..k {
-            let mut rng = StdRng::seed_from_u64(sample_seed(seed, (s + lane) as u64));
-            for (i, b) in bounds.iter().enumerate() {
-                d[i * lanes + lane] = if b.lo == b.hi {
-                    b.lo
-                } else {
-                    rng.gen_range(b.lo..=b.hi)
-                };
+    // Fixed rows never change, so they are written once; drawn rows are
+    // overwritten every block.
+    let mut d: Vec<Row<T>> = sampler
+        .fixed
+        .iter()
+        .map(|&v| [T::narrow(v); LANES])
+        .collect();
+    let mut finish = vec![[T::default(); LANES]; n];
+    // `d + tail`: the longest delay path starting at the node.
+    let mut down = vec![[T::default(); LANES]; n];
+    let mut hits = vec![0u64; n];
+    let mut circuits = Vec::with_capacity(range.len());
+    let mut s0 = range.start;
+    while s0 < range.end {
+        let k = LANES.min(range.end - s0);
+        // Lanes past the range draw too (bounded, never read) so every
+        // loop below keeps its fixed width; `live` masks them out.
+        let live: [bool; LANES] = array::from_fn(|lane| lane < k);
+        let mut rngs: [StdRng; LANES] =
+            array::from_fn(|lane| StdRng::seed_from_u64(sample_seed(seed, (s0 + lane) as u64)));
+        for &(v, dist) in &sampler.drawn {
+            for (slot, rng) in d[v].iter_mut().zip(&mut rngs) {
+                *slot = T::narrow(dist.sample(rng));
             }
         }
-        circuit.fill(0);
-        // Forward: arrivals in topo order, whole lane rows at a time.
+        // Forward: arrivals in topo order.
+        let mut circuit = [T::default(); LANES];
         for (p, &v) in order.iter().enumerate() {
-            let vi = v.index();
-            acc.fill(0);
-            for &pi in preds.row(p) {
-                let row = &finish[pi as usize * lanes..][..lanes];
-                for (a, &f) in acc.iter_mut().zip(row) {
-                    *a = (*a).max(f);
-                }
+            let mut arrive = [T::default(); LANES];
+            for &u in preds.row(p) {
+                max_into(&mut arrive, &finish[u as usize]);
             }
-            let drow = &d[vi * lanes..][..lanes];
-            let frow = &mut finish[vi * lanes..][..lanes];
-            for lane in 0..lanes {
-                let f = acc[lane] + drow[lane];
-                frow[lane] = f;
-                circuit[lane] = circuit[lane].max(f);
-            }
+            let f = add(arrive, d[v.index()]);
+            max_into(&mut circuit, &f);
+            finish[v.index()] = f;
         }
-        // Backward: tails in reverse topo order (successor rows sit at
-        // later positions, already final this block).
+        // Backward in reverse topo order (successor rows are final this
+        // block), counting criticality as each tail settles.
         for p in (0..n).rev() {
-            let vi = order[p].index();
-            acc.fill(0);
-            for &si in succs.row(p) {
-                let si = si as usize;
-                let drow = &d[si * lanes..][..lanes];
-                let trow = &tail[si * lanes..][..lanes];
-                for ((a, &dd), &tt) in acc.iter_mut().zip(drow).zip(trow) {
-                    *a = (*a).max(dd + tt);
+            let v = order[p].index();
+            let mut tail = [T::default(); LANES];
+            for &w in succs.row(p) {
+                max_into(&mut tail, &down[w as usize]);
+            }
+            down[v] = add(tail, d[v]);
+            let f = finish[v];
+            let mut hit = 0;
+            for lane in 0..LANES {
+                hit += u64::from(live[lane] & (f[lane] + tail[lane] == circuit[lane]));
+            }
+            hits[v] += hit;
+        }
+        if let Some(rows) = rows.as_deref_mut() {
+            for lane in 0..k {
+                let base = (s0 - range.start + lane) * n;
+                let c: u64 = circuit[lane].into();
+                for v in 0..n {
+                    let dv: u64 = d[v][lane].into();
+                    let f: u64 = finish[v][lane].into();
+                    let t = down[v][lane].into() - dv;
+                    rows.d[base + v] = dv;
+                    rows.finish[base + v] = f;
+                    rows.tail[base + v] = t;
+                    rows.crit[base + v] = f + t == c;
                 }
             }
-            tail[vi * lanes..][..lanes].copy_from_slice(&acc);
         }
-        sink(&SoaBlock {
-            s0: s,
-            k,
-            lanes,
-            d: &d,
-            finish: &finish,
-            tail: &tail,
-            circuit: &circuit,
-        });
-        s += k;
+        circuits.extend(circuit[..k].iter().map(|&c| c.into()));
+        s0 += k;
+    }
+    Sweep {
+        hits,
+        circuit: circuits,
     }
 }
 
@@ -277,11 +355,12 @@ pub fn criticality<M: DelayBounds>(
 /// through the SoA block kernel ([`soa_sweep`]).
 ///
 /// Per-sample seeding makes the output identical for every
-/// [`Parallelism`] choice *and* every lane width ([`with_soa_lanes`]).
+/// [`Parallelism`] choice, and equal to [`criticality_reference`].
 ///
 /// # Panics
 ///
-/// Panics if the graph is cyclic or `samples == 0`.
+/// Panics if the graph is cyclic, `samples == 0`, or the sum of every
+/// node's maximum delay overflows `u64` ([`checked_hi_sum`]).
 pub fn criticality_in<M: DelayBounds>(
     ctx: &DesignContext,
     model: &M,
@@ -298,40 +377,22 @@ pub fn criticality_in<M: DelayBounds>(
     let succs = ctx.succs_csr();
     let n = g.node_count();
     let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(g, v)).collect();
+    let sampler = Sampler::new(&bounds);
     let probe = ctx.probe();
     probe.counter("timing.criticality.samples", samples as u64);
-    // Resolved here, on the calling thread, so a `with_soa_lanes` override
-    // reaches the worker closures as a plain captured value.
-    let lanes = soa_lanes();
 
     // Contiguous sample ranges, one per worker; per-sample seeds make the
     // partitioning irrelevant to the result.
     let workers = par.worker_count(samples);
     let chunk = samples.div_ceil(workers);
-    let ranges: Vec<(usize, usize)> = (0..workers)
-        .map(|w| (w * chunk, ((w + 1) * chunk).min(samples)))
-        .filter(|&(lo, hi)| lo < hi)
+    let ranges: Vec<Range<usize>> = (0..workers)
+        .map(|w| w * chunk..((w + 1) * chunk).min(samples))
+        .filter(|r| !r.is_empty())
         .collect();
 
     let sweep_start = Instant::now();
-    let parts = par_map(par, &ranges, |_, &(lo, hi)| {
-        let mut hits = vec![0u64; n];
-        let mut delays = Vec::with_capacity(hi - lo);
-        soa_sweep(order, preds, succs, &bounds, seed, lo, hi, lanes, |blk| {
-            // Branch-free criticality count per node: a node is critical
-            // in a lane iff finish + tail reaches that lane's circuit.
-            for (v, slot) in hits.iter_mut().enumerate() {
-                let frow = &blk.finish[v * blk.lanes..][..blk.lanes];
-                let trow = &blk.tail[v * blk.lanes..][..blk.lanes];
-                let mut hit = 0u64;
-                for lane in 0..blk.k {
-                    hit += u64::from(frow[lane] + trow[lane] == blk.circuit[lane]);
-                }
-                *slot += hit;
-            }
-            delays.extend_from_slice(&blk.circuit[..blk.k]);
-        });
-        (hits, delays)
+    let parts = par_map(par, &ranges, |_, range| {
+        soa_sweep(order, preds, succs, &sampler, seed, range.clone(), None)
     });
     let sweep_ns = u64::try_from(sweep_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     probe.timer_ns("timing.criticality", sweep_ns);
@@ -342,11 +403,85 @@ pub fn criticality_in<M: DelayBounds>(
 
     let mut hits = vec![0u64; n];
     let mut delays = Vec::with_capacity(samples);
-    for (part_hits, part_delays) in parts {
-        for (h, p) in hits.iter_mut().zip(part_hits) {
+    for part in parts {
+        for (h, p) in hits.iter_mut().zip(part.hits) {
             *h += p;
         }
-        delays.extend(part_delays);
+        delays.extend(part.circuit);
+    }
+    delays.sort_unstable();
+    CriticalityReport {
+        criticality: hits.iter().map(|&h| h as f64 / samples as f64).collect(),
+        delays,
+        samples,
+    }
+}
+
+/// The Monte-Carlo criticality report computed the plain way, one sample
+/// at a time, as the oracle the SoA kernel is tested and timed against.
+///
+/// It shares nothing with [`criticality_in`] but the per-sample seeding:
+/// sample `s` seeds a [`StdRng`] from `sample_seed(seed, s)`, draws every
+/// node's delay with `gen_range` in node-index order (a fixed `lo == hi`
+/// interval takes no draw), walks the graph's own adjacency in topological
+/// order for finish times, and marks a node critical when its finish time
+/// equals its required time. [`criticality_in`] must equal it bit for bit.
+///
+/// # Panics
+///
+/// Panics if the graph is cyclic or `samples == 0`.
+///
+/// ```
+/// use localwm_cdfg::designs::iir4_parallel;
+/// use localwm_timing::{criticality, criticality_reference, KindBounds};
+///
+/// let g = iir4_parallel();
+/// let model = KindBounds::uniform(1, 3);
+/// let fast = criticality(&g, &model, 50, 7);
+/// let slow = criticality_reference(&g, &model, 50, 7);
+/// assert_eq!(fast.delays, slow.delays);
+/// assert_eq!(fast.criticality, slow.criticality);
+/// ```
+pub fn criticality_reference<M: DelayBounds>(
+    g: &Cdfg,
+    model: &M,
+    samples: usize,
+    seed: u64,
+) -> CriticalityReport {
+    assert!(samples > 0, "at least one sample required");
+    let order = g.topo_order().expect("criticality requires a DAG");
+    let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(g, v)).collect();
+    let n = g.node_count();
+    let mut d = vec![0u64; n];
+    let mut finish = vec![0u64; n];
+    let mut required = vec![0u64; n];
+    let mut hits = vec![0u64; n];
+    let mut delays = Vec::with_capacity(samples);
+    for s in 0..samples {
+        let mut rng = StdRng::seed_from_u64(sample_seed(seed, s as u64));
+        for (dv, b) in d.iter_mut().zip(&bounds) {
+            *dv = if b.lo == b.hi {
+                b.lo
+            } else {
+                rng.gen_range(b.lo..=b.hi)
+            };
+        }
+        for &v in &order {
+            let arrive = g.preds(v).map(|u| finish[u.index()]).max().unwrap_or(0);
+            finish[v.index()] = arrive + d[v.index()];
+        }
+        let circuit = finish.iter().copied().max().unwrap_or(0);
+        for &v in order.iter().rev() {
+            required[v.index()] = g
+                .succs(v)
+                .map(|w| required[w.index()] - d[w.index()])
+                .min()
+                .unwrap_or(circuit);
+        }
+        for (h, (f, r)) in hits.iter_mut().zip(finish.iter().zip(&required)) {
+            *h += u64::from(f == r);
+        }
+        delays.push(circuit);
     }
     delays.sort_unstable();
     CriticalityReport {
@@ -366,7 +501,7 @@ pub(crate) fn sample_seed(seed: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::{bounded_critical_path, KindBounds};
-    use localwm_cdfg::generators::random_dag;
+    use localwm_cdfg::generators::{layered, random_dag, LayeredConfig};
     use localwm_cdfg::{Cdfg, OpKind};
 
     #[test]
@@ -406,64 +541,77 @@ mod tests {
         assert_eq!(a.criticality, b.criticality);
     }
 
+    fn assert_matches_reference(
+        ctx: &DesignContext,
+        model: &KindBounds,
+        samples: usize,
+        seed: u64,
+        par: Parallelism,
+    ) {
+        let fast = criticality_in(ctx, model, samples, seed, par);
+        let slow = criticality_reference(ctx.graph(), model, samples, seed);
+        assert_eq!(fast.delays, slow.delays, "{samples} samples, {par:?}");
+        assert_eq!(fast.criticality, slow.criticality, "{samples} samples, {par:?}");
+    }
+
     #[test]
-    fn serial_and_parallel_sweeps_agree_exactly() {
-        let g = random_dag(40, 0.15, 13);
+    fn kernel_matches_the_reference() {
+        // Sample counts around multiples of LANES leave short final blocks
+        // (one per worker range under threads). The layered design mixes
+        // fixed rows (inputs, outputs, the Add override) in between drawn
+        // ones, and the Mul override is a power-of-two span.
+        let g = layered(&LayeredConfig {
+            ops: 60,
+            layers: 6,
+            seed: 3,
+            ..Default::default()
+        });
         let ctx = DesignContext::from(&g);
-        let model = KindBounds::uniform(1, 4);
-        let serial = criticality_in(&ctx, &model, 97, 17, Parallelism::Serial);
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(5),
-            Parallelism::Auto,
-        ] {
-            let p = criticality_in(&ctx, &model, 97, 17, par);
-            assert_eq!(serial.delays, p.delays, "delays differ under {par:?}");
-            assert_eq!(
-                serial.criticality, p.criticality,
-                "criticality differs under {par:?}"
-            );
+        let mixed = KindBounds::uniform(1, 3)
+            .with(OpKind::Add, DelayInterval::fixed(2))
+            .with(OpKind::Mul, DelayInterval::new(2, 5));
+        for model in [KindBounds::uniform(1, 4), mixed] {
+            for samples in [1, 7, 8, 9, 16, 97] {
+                for par in [
+                    Parallelism::Serial,
+                    Parallelism::Threads(2),
+                    Parallelism::Threads(5),
+                    Parallelism::Auto,
+                ] {
+                    assert_matches_reference(&ctx, &model, samples, 17, par);
+                }
+            }
         }
     }
 
     #[test]
-    fn lane_width_never_changes_the_report() {
-        // 97 samples: K = 8 leaves a 1-lane tail block, K = 5 a 2-lane
-        // one, K = 97 a single full block, K = 1 is the scalar path.
-        let g = random_dag(40, 0.15, 13);
-        let ctx = DesignContext::from(&g);
-        let model = KindBounds::uniform(1, 4);
-        let scalar = with_soa_lanes(1, || {
-            criticality_in(&ctx, &model, 97, 17, Parallelism::Serial)
-        });
-        for lanes in [2, 5, 8, 16, 97, 200] {
-            let wide = with_soa_lanes(lanes, || {
-                criticality_in(&ctx, &model, 97, 17, Parallelism::Serial)
-            });
-            assert_eq!(scalar.delays, wide.delays, "delays differ at K={lanes}");
-            assert_eq!(
-                scalar.criticality, wide.criticality,
-                "criticality differs at K={lanes}"
-            );
-        }
-        // The default width (no override) matches too.
-        let default = criticality_in(&ctx, &model, 97, 17, Parallelism::Serial);
-        assert_eq!(scalar.delays, default.delays);
-        assert_eq!(scalar.criticality, default.criticality);
+    fn row_type_follows_the_bound_sum() {
+        let max32 = u64::from(u32::MAX);
+        let fits = [DelayInterval::new(0, max32 - 1), DelayInterval::fixed(1)];
+        assert!(!Sampler::new(&fits).wide, "sum == u32::MAX keeps u32 rows");
+        let spills = [DelayInterval::new(0, max32), DelayInterval::fixed(1)];
+        assert!(Sampler::new(&spills).wide, "sum == u32::MAX + 1 needs u64 rows");
     }
 
     #[test]
-    fn lane_override_is_scoped_and_restored() {
-        assert_eq!(soa_lanes(), DEFAULT_SOA_LANES);
-        let inner = with_soa_lanes(3, || {
-            let nested = with_soa_lanes(5, soa_lanes);
-            assert_eq!(nested, 5);
-            soa_lanes()
-        });
-        assert_eq!(inner, 3);
-        assert_eq!(soa_lanes(), DEFAULT_SOA_LANES);
-        // Zero clamps to the scalar path instead of dividing by zero.
-        assert_eq!(with_soa_lanes(0, soa_lanes), 1);
+    fn wide_rows_match_the_reference() {
+        let g = random_dag(40, 0.15, 13);
+        let ctx = DesignContext::from(&g);
+        for (lo, hi) in [(1 << 40, (1 << 40) + 5), (0, u64::MAX / 64)] {
+            let model = KindBounds::uniform(lo, hi);
+            let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(&g, v)).collect();
+            assert!(Sampler::new(&bounds).wide);
+            for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+                assert_matches_reference(&ctx, &model, 19, 5, par);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delay bounds overflow")]
+    fn overflowing_bounds_panic_before_sampling() {
+        let g = random_dag(40, 0.15, 13);
+        let _ = criticality(&g, &KindBounds::uniform(1, u64::MAX / 2), 4, 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use localwm_cdfg::generators::{layered, random_dag, LayeredConfig};
 use localwm_cdfg::{EdgeKind, NodeId};
 use localwm_engine::Parallelism;
 use localwm_timing::{
-    bounded_arrival, bounded_critical_path, criticality_in, with_soa_lanes, CriticalityCache,
-    DesignContext, KindBounds, UnitTiming,
+    bounded_arrival, bounded_critical_path, criticality_in, criticality_reference,
+    CriticalityCache, DesignContext, KindBounds, UnitTiming,
 };
 use proptest::prelude::*;
 
@@ -117,30 +117,33 @@ proptest! {
         }
     }
 
-    /// The SoA block kernel is byte-identical to the scalar path for any
-    /// random CDFG, seed, sample count, and lane width — including widths
-    /// that never divide the sample count (perpetual tail blocks) and
-    /// widths larger than the whole run.
+    /// The SoA block kernel is byte-identical to the per-sample reference
+    /// for any random CDFG, seed, sample count (short final blocks
+    /// included), worker count, and bounds — from `u32` rows up to bounds
+    /// whose sum only fits `u64` rows.
     #[test]
-    fn soa_criticality_equals_scalar(
+    fn soa_criticality_equals_reference(
         n in 5usize..50,
         p in 0.05f64..0.35,
         seed in 0u64..1000,
         run_seed in 0u64..1000,
         samples in 1usize..70,
-        lanes in 2usize..24,
+        threads in 1usize..4,
+        lo in 0u64..4,
+        span in 0u64..6,
+        scale in 0u32..3,
     ) {
         let g = random_dag(n, p, seed);
         let ctx = DesignContext::new(g);
-        let model = KindBounds::uniform(1, 4);
-        let scalar = with_soa_lanes(1, || {
-            criticality_in(&ctx, &model, samples, run_seed, Parallelism::Serial)
-        });
-        let soa = with_soa_lanes(lanes, || {
-            criticality_in(&ctx, &model, samples, run_seed, Parallelism::Serial)
-        });
-        prop_assert_eq!(&scalar.delays, &soa.delays);
-        prop_assert_eq!(&scalar.criticality, &soa.criticality);
+        // scale 0: small delays; 1: near u32::MAX per op, so the sum
+        // spills into u64 rows; 2: ~2^57 per op.
+        let unit = [1u64, 1 << 27, 1 << 52][scale as usize];
+        let model = KindBounds::uniform(lo * unit, (lo + span) * unit);
+        let par = if threads == 1 { Parallelism::Serial } else { Parallelism::Threads(threads) };
+        let kernel = criticality_in(&ctx, &model, samples, run_seed, par);
+        let reference = criticality_reference(ctx.graph(), &model, samples, run_seed);
+        prop_assert_eq!(&kernel.delays, &reference.delays);
+        prop_assert_eq!(&kernel.criticality, &reference.criticality);
     }
 
     /// Interval analysis: per-node finish intervals are ordered and the
