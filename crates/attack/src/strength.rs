@@ -3,7 +3,9 @@
 //!
 //! For one design the engine embeds once, then for every `(budget, kind)`
 //! cell derives an independent [`SplitMix64`] sub-stream, applies the
-//! attack and re-detects against the *original* specification. A cell
+//! attack and checks the attacked schedule against the embedded edges —
+//! the edges detection re-derives from the *original* specification, so
+//! the sweep derives them once ([`SchedEmbedding::evidence`]). A cell
 //! records survival (tolerant match at chance probability ≤ 10⁻⁶),
 //! detection strength `1 − P_c`, and the solution-quality cost (schedule
 //! length delta). Per-budget rows aggregate across kinds;
@@ -11,7 +13,7 @@
 //! function of `(design, signature, config)` — byte-identical on every
 //! platform and under every parallelism setting.
 
-use localwm_core::{SchedWmConfig, SchedulingWatermarker, WatermarkError};
+use localwm_core::{SchedEmbedding, SchedWmConfig, SchedulingWatermarker, WatermarkError};
 use localwm_engine::{DesignContext, Parallelism};
 use localwm_prng::{Signature, SplitMix64};
 
@@ -127,7 +129,7 @@ pub struct AttackRun {
 fn attack_surface<'a>(
     kind: AttackKind,
     ctx: &'a DesignContext,
-    emb: &'a localwm_core::SchedEmbedding,
+    emb: &'a SchedEmbedding,
 ) -> &'a localwm_cdfg::Cdfg {
     match kind {
         AttackKind::Strip => &emb.marked,
@@ -135,19 +137,17 @@ fn attack_surface<'a>(
     }
 }
 
+/// Measures one attacked schedule against the embedding's edges.
 fn measure(
-    wm: &SchedulingWatermarker,
-    ctx: &DesignContext,
-    sig: &Signature,
-    par: Parallelism,
+    emb: &SchedEmbedding,
     outcome: &AttackOutcome,
     cfg: &AttackConfig,
     baseline_length: u32,
-) -> Result<StrengthCell, WatermarkError> {
-    let ev = wm.detect_in(&outcome.schedule, ctx, sig, par)?;
+) -> StrengthCell {
+    let ev = emb.evidence(&outcome.schedule);
     let satisfied = ev.checks.iter().filter(|&&(_, _, ok)| ok).count();
     let length = outcome.schedule.length();
-    Ok(StrengthCell {
+    StrengthCell {
         kind: cfg.kind,
         budget: cfg.budget,
         edits: outcome.trace.edits.len(),
@@ -158,7 +158,7 @@ fn measure(
         checked: ev.checks.len(),
         schedule_length: length,
         steps_delta: i64::from(length) - i64::from(baseline_length),
-    })
+    }
 }
 
 /// Runs one attack against a freshly embedded watermark and measures the
@@ -166,8 +166,9 @@ fn measure(
 ///
 /// # Errors
 ///
-/// Propagates embedding/detection failures (e.g.
-/// [`WatermarkError::NoIncomparablePairs`] on serial designs).
+/// Propagates embedding failures (e.g.
+/// [`WatermarkError::NoIncomparablePairs`] on serial designs); once the
+/// embed succeeds, detection cannot fail.
 pub fn attack_once_in(
     ctx: &DesignContext,
     sig: &Signature,
@@ -180,7 +181,7 @@ pub fn attack_once_in(
     let baseline_length = emb.schedule.length();
     let surface = attack_surface(cfg.kind, ctx, &emb);
     let outcome = apply(surface, &emb.schedule, emb.available_steps, cfg);
-    let cell = measure(&wm, ctx, sig, par, &outcome, cfg, baseline_length)?;
+    let cell = measure(&emb, &outcome, cfg, baseline_length);
     Ok(AttackRun {
         outcome,
         cell,
@@ -194,8 +195,9 @@ pub fn attack_once_in(
 ///
 /// # Errors
 ///
-/// Propagates embedding/detection failures (e.g.
-/// [`WatermarkError::NoIncomparablePairs`] on serial designs).
+/// Propagates embedding failures (e.g.
+/// [`WatermarkError::NoIncomparablePairs`] on serial designs); once the
+/// embed succeeds, no cell can fail.
 pub fn strength_report_in(
     ctx: &DesignContext,
     sig: &Signature,
@@ -204,16 +206,16 @@ pub fn strength_report_in(
 ) -> Result<StrengthReport, WatermarkError> {
     let wm = SchedulingWatermarker::new(cfg.wm.clone());
     let emb = wm.embed_in(ctx, sig, par)?;
-    let baseline = wm.detect_in(&emb.schedule, ctx, sig, par)?;
+    let baseline = emb.evidence(&emb.schedule);
     let baseline_length = emb.schedule.length();
     let base = SplitMix64::new(cfg.seed);
     // Every `(budget, kind)` cell derives an independent sub-stream from
     // the master seed alone — stable under reordering or extending the
     // sweep grid — so the grid fans out over the engine pool and
-    // reassembles positionally. Detection inside a cell runs serial: the
-    // sweep is the parallel axis, and nesting pools would oversubscribe.
-    // Cell values (and therefore report bytes) are identical under every
-    // parallelism setting.
+    // reassembles positionally. Every cell checks its attacked schedule
+    // against the one embedding's edges, so the sweep derives the
+    // watermark once. Cell values (and therefore report bytes) are
+    // identical under every parallelism setting.
     let grid: Vec<(u64, f64, AttackKind)> = cfg
         .budgets
         .iter()
@@ -224,7 +226,7 @@ pub fn strength_report_in(
                 .map(move |kind| (bi as u64, budget, kind))
         })
         .collect();
-    let measured = localwm_engine::par_map(par, &grid, |_, &(bi, budget, kind)| {
+    let cells = localwm_engine::par_map(par, &grid, |_, &(bi, budget, kind)| {
         let cell_seed = base.derive((bi << 8) | kind.index() as u64).next_u64();
         let attack_cfg = AttackConfig {
             kind,
@@ -233,20 +235,8 @@ pub fn strength_report_in(
         };
         let surface = attack_surface(kind, ctx, &emb);
         let outcome = apply(surface, &emb.schedule, emb.available_steps, &attack_cfg);
-        measure(
-            &wm,
-            ctx,
-            sig,
-            Parallelism::Serial,
-            &outcome,
-            &attack_cfg,
-            baseline_length,
-        )
+        measure(&emb, &outcome, &attack_cfg, baseline_length)
     });
-    let mut cells = Vec::with_capacity(grid.len());
-    for cell in measured {
-        cells.push(cell?);
-    }
     let mut rows = Vec::with_capacity(cfg.budgets.len());
     for (bi, &budget) in cfg.budgets.iter().enumerate() {
         let row_cells = &cells[bi * AttackKind::ALL.len()..(bi + 1) * AttackKind::ALL.len()];

@@ -102,6 +102,32 @@ pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> 
         .map(String::as_str)
 }
 
+/// Validates the arguments of a subcommand whose flags all take a value.
+/// Returns `Ok(true)` when `--help`/`-h` asked for `usage` (the caller
+/// prints it and exits 0), `Ok(false)` when every argument is one of
+/// `flags` followed by its value, and an error carrying `usage` for an
+/// unknown flag, a stray argument or a flag missing its value.
+pub(crate) fn check_flags(args: &[String], flags: &[&str], usage: &str) -> Result<bool, String> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(true);
+    }
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !flags.contains(&arg.as_str()) {
+            let what = if arg.starts_with('-') {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            return Err(format!("{what} `{arg}`\n{usage}"));
+        }
+        if it.next().is_none() {
+            return Err(format!("{arg} needs a value\n{usage}"));
+        }
+    }
+    Ok(false)
+}
+
 pub(crate) fn positional(args: &[String], idx: usize) -> Option<&str> {
     args.iter()
         .filter(|a| !a.starts_with('-'))

@@ -2,7 +2,13 @@
 
 use localwm_gateway::{BackendSpec, GatewayConfig};
 
-use crate::commands::flag_value;
+use crate::commands::{check_flags, flag_value};
+
+const GATEWAY_USAGE: &str =
+    "usage: localwm gateway --backends [name=]HOST:PORT[,...] [--addr HOST:PORT]
+                       [--replicas N] [--max-retries N] [--backoff-base-ms N]
+                       [--backoff-cap-ms N] [--recv-timeout-ms N]
+                       [--health-interval-ms N|off]";
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
     match flag_value(args, flag) {
@@ -25,6 +31,20 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
 ///
 /// Returns a message for bad flags or bind failures.
 pub fn gateway(args: &[String]) -> Result<(), String> {
+    let flags = [
+        "--backends",
+        "--addr",
+        "--replicas",
+        "--max-retries",
+        "--backoff-base-ms",
+        "--backoff-cap-ms",
+        "--recv-timeout-ms",
+        "--health-interval-ms",
+    ];
+    if check_flags(args, &flags, GATEWAY_USAGE)? {
+        println!("{GATEWAY_USAGE}");
+        return Ok(());
+    }
     let raw = flag_value(args, "--backends")
         .ok_or("gateway: --backends [name=]host:port[,...] is required")?;
     let backends: Vec<BackendSpec> = raw

@@ -25,10 +25,29 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
     }
 }
 
+const SERVE_USAGE: &str = "usage: localwm serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
+                     [--cache-cap N] [--default-timeout-ms N]
+                     [--session-idle-ms N] [--metrics-out FILE]
+                     [--store-dir DIR]";
+
 /// `localwm serve [--addr A] [--workers N] [--queue-depth N] [--cache-cap N]
 /// [--default-timeout-ms N] [--session-idle-ms N] [--metrics-out FILE]
 /// [--store-dir DIR]`
 pub fn serve(args: &[String]) -> CliResult {
+    let flags = [
+        "--addr",
+        "--workers",
+        "--queue-depth",
+        "--cache-cap",
+        "--default-timeout-ms",
+        "--session-idle-ms",
+        "--metrics-out",
+        "--store-dir",
+    ];
+    if crate::commands::check_flags(args, &flags, SERVE_USAGE)? {
+        println!("{SERVE_USAGE}");
+        return Ok(());
+    }
     let mut cfg = ServeConfig {
         addr: flag_value(args, "--addr")
             .unwrap_or("127.0.0.1:7171")

@@ -470,3 +470,65 @@ fn request_binary_flag_round_trips_through_the_framed_encoding() {
     assert!(server.child.wait().expect("server exit").success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `localwm <args>` and waits at most ten seconds: a command that
+/// should only print usage must never go on to bind and serve.
+fn run_bounded(args: &[&str]) -> (std::process::ExitStatus, String, String) {
+    let mut child = localwm()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn localwm");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("poll child").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("`localwm {}` did not exit: it is serving", args.join(" "));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect output");
+    (
+        out.status,
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `--help` prints usage and exits 0 without binding; unknown flags, stray
+/// arguments and flags missing their value fail with usage text.
+#[test]
+fn serve_and_gateway_validate_their_flags() {
+    for cmd in ["serve", "gateway"] {
+        let usage = format!("usage: localwm {cmd}");
+        for help in ["--help", "-h"] {
+            let (status, stdout, _) = run_bounded(&[cmd, help]);
+            assert!(status.success(), "`{cmd} {help}` exits 0");
+            assert!(
+                stdout.contains(&usage),
+                "`{cmd} {help}` prints usage: {stdout}"
+            );
+        }
+        for bad in [
+            vec![cmd, "--no-such-flag"],
+            vec![cmd, "--addr", "127.0.0.1:0", "--sample", "3"],
+            vec![cmd, "stray"],
+            vec![cmd, "--addr"],
+        ] {
+            let (status, stdout, stderr) = run_bounded(&bad);
+            assert!(!status.success(), "`{}` must fail", bad.join(" "));
+            assert!(
+                stdout.is_empty(),
+                "`{}` must not serve: {stdout}",
+                bad.join(" ")
+            );
+            assert!(
+                stderr.contains(&usage),
+                "`{}` prints usage: {stderr}",
+                bad.join(" ")
+            );
+        }
+    }
+}

@@ -133,6 +133,36 @@ pub struct SchedEmbedding {
     pub domains: Vec<Domain>,
     /// Control steps the windows were computed for.
     pub available_steps: u32,
+    /// The windows the edges were drawn against, kept for
+    /// [`SchedEmbedding::evidence`].
+    windows: Windows,
+}
+
+impl SchedEmbedding {
+    /// Checks a suspect schedule against this embedding's edges — exactly
+    /// what [`SchedulingWatermarker::detect_in`] answers for the same
+    /// design, signature and configuration, without re-deriving the edges.
+    /// A caller that embeds and then checks many schedules (a strength
+    /// sweep) derives once.
+    pub fn evidence(&self, schedule: &Schedule) -> SchedEvidence {
+        evidence(&self.edges, &self.windows, schedule)
+    }
+}
+
+/// The one detection check: each edge's order in `schedule`, its chance
+/// probability, and the joint coincidence probability.
+fn evidence(edges: &[(NodeId, NodeId)], windows: &Windows, schedule: &Schedule) -> SchedEvidence {
+    SchedEvidence {
+        checks: edges
+            .iter()
+            .map(|&(s, d)| (s, d, schedule.executes_before(s, d).unwrap_or(false)))
+            .collect(),
+        chances: edges
+            .iter()
+            .map(|&(s, d)| pc::pair_order_probability(windows, s, d))
+            .collect(),
+        log10_pc: pc::log10_pc_pairs(windows, edges),
+    }
 }
 
 /// Evidence from a detection pass.
@@ -245,41 +275,54 @@ impl SchedulingWatermarker {
         // detection replays the identical deterministic loop.
         let roots = crate::domain::root_candidates_in(ctx, tau, (k / 4).max(2));
 
-        // Phase 1 — locality preparation, fanned across workers. Each
-        // attempt's bitstream, root pick, domain walk and eligibility
-        // filter depend only on (graph, signature, attempt index), never on
-        // edges drawn by earlier attempts, so the fan-out is result-
-        // identical for every `Parallelism` choice.
-        let attempts: Vec<usize> = (0..self.config.max_attempts).collect();
-        let prepared: Vec<Option<(Bitstream, Domain, Vec<NodeId>)>> =
-            par_map(par, &attempts, |_, &attempt| {
-                let mut bits =
-                    Bitstream::for_purpose(signature, &format!("sched-wm/attempt-{attempt}"));
-                let root = pick_root(&roots, &mut bits)?;
-                let domain = select_domain_in(ctx, root, tau, &mut bits);
+        // Phase 1 — locality preparation. Each attempt's bitstream, root
+        // pick, domain walk and eligibility filter depend only on (graph,
+        // signature, attempt index), never on edges drawn by earlier
+        // attempts, so attempts can be prepared in any grouping and the
+        // result is identical for every `Parallelism` choice.
+        let prepare = |attempt: usize| -> Option<(Bitstream, Domain, Vec<NodeId>)> {
+            let mut bits =
+                Bitstream::for_purpose(signature, &format!("sched-wm/attempt-{attempt}"));
+            let root = pick_root(&roots, &mut bits)?;
+            let domain = select_domain_in(ctx, root, tau, &mut bits);
 
-                // T': eligible nodes — schedulable, laxity within the cap,
-                // and (pruned to a fixpoint) owning an overlap partner
-                // inside T'.
-                let mut t_prime: Vec<NodeId> = domain
-                    .t
-                    .iter()
-                    .copied()
-                    .filter(|&n| g.kind(n).is_schedulable())
-                    .filter(|&n| f64::from(windows.laxity(n)) <= laxity_cap)
-                    .collect();
-                loop {
-                    let before = t_prime.len();
-                    let snapshot = t_prime.clone();
-                    t_prime.retain(|&n| snapshot.iter().any(|&m| m != n && windows.overlap(n, m)));
-                    if t_prime.len() == before {
-                        break;
-                    }
+            // T': eligible nodes — schedulable, laxity within the cap, and
+            // (pruned to a fixpoint) owning an overlap partner inside T'.
+            let mut t_prime: Vec<NodeId> = domain
+                .t
+                .iter()
+                .copied()
+                .filter(|&n| g.kind(n).is_schedulable())
+                .filter(|&n| f64::from(windows.laxity(n)) <= laxity_cap)
+                .collect();
+            loop {
+                let before = t_prime.len();
+                let snapshot = t_prime.clone();
+                t_prime.retain(|&n| snapshot.iter().any(|&m| m != n && windows.overlap(n, m)));
+                if t_prime.len() == before {
+                    break;
                 }
-                Some((bits, domain, t_prime))
-            });
-        ctx.probe()
-            .counter("core.sched_wm.attempts", prepared.len() as u64);
+            }
+            Some((bits, domain, t_prime))
+        };
+        // Most derivations place their K edges long before `max_attempts`,
+        // so localities are prepared on demand: one wave of as many
+        // attempts as there are workers, fanned out, and the next wave only
+        // once phase 2 has consumed this one. Under `Serial` a wave is one
+        // attempt.
+        let max_attempts = self.config.max_attempts;
+        let wave_len = par.worker_count(max_attempts);
+        let mut prepared = 0usize;
+        let mut wave = Vec::new().into_iter();
+        let mut localities = std::iter::from_fn(|| {
+            if wave.len() == 0 && prepared < max_attempts {
+                let batch: Vec<usize> =
+                    (prepared..(prepared + wave_len).min(max_attempts)).collect();
+                prepared += batch.len();
+                wave = par_map(par, &batch, |_, &attempt| prepare(attempt)).into_iter();
+            }
+            wave.next()
+        });
 
         // Phase 2 — edge drawing. Each drawn edge tightens the working
         // graph that later draws are filtered against, so localities are
@@ -289,11 +332,10 @@ impl SchedulingWatermarker {
         let mut domains: Vec<Domain> = Vec::new();
         let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(k);
         let mut working = DesignContext::from(g);
-        for prep in prepared {
-            if edges.len() == k {
-                break;
-            }
-            let Some((mut bits, domain, t_prime)) = prep else {
+        while edges.len() < k {
+            // Attempts are exhausted, or the design has no root candidate
+            // at all.
+            let Some(Some((mut bits, domain, t_prime))) = localities.next() else {
                 break;
             };
             best_candidates = best_candidates.max(t_prime.len());
@@ -338,6 +380,8 @@ impl SchedulingWatermarker {
                 domains.push(domain);
             }
         }
+        ctx.probe()
+            .counter("core.sched_wm.attempts", prepared as u64);
         ctx.probe()
             .counter("core.sched_wm.edges", edges.len() as u64);
         if edges.len() == k {
@@ -407,6 +451,7 @@ impl SchedulingWatermarker {
             edges,
             domains,
             available_steps: windows.available_steps(),
+            windows,
         })
     }
 
@@ -449,20 +494,7 @@ impl SchedulingWatermarker {
         par: Parallelism,
     ) -> Result<SchedEvidence, WatermarkError> {
         let (_, edges, windows) = self.derive_in(ctx, signature, par)?;
-        let checks: Vec<(NodeId, NodeId, bool)> = edges
-            .iter()
-            .map(|&(s, d)| (s, d, schedule.executes_before(s, d).unwrap_or(false)))
-            .collect();
-        let chances: Vec<f64> = edges
-            .iter()
-            .map(|&(s, d)| pc::pair_order_probability(&windows, s, d))
-            .collect();
-        let log10_pc = pc::log10_pc_pairs(&windows, &edges);
-        Ok(SchedEvidence {
-            checks,
-            chances,
-            log10_pc,
-        })
+        Ok(evidence(&edges, &windows, schedule))
     }
 
     /// Realizes the temporal edges as *unit operations* for compiled-code
@@ -687,6 +719,41 @@ mod tests {
             embedded += usize::from(serial.is_ok());
         }
         assert!(embedded >= 2, "iir4 and mediabench must embed");
+    }
+
+    #[test]
+    fn localities_are_prepared_on_demand() {
+        use localwm_engine::RecordingProbe;
+        use std::sync::Arc;
+        let g = mediabench(&mediabench_apps()[0], 0);
+        let wm = SchedulingWatermarker::new(SchedWmConfig::default());
+        let cap = wm.config().max_attempts as u64;
+        for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+            let probe = Arc::new(RecordingProbe::new());
+            let ctx = DesignContext::from(&g).with_probe(probe.clone());
+            wm.embed_in(&ctx, &sig("on-demand"), par).unwrap();
+            let attempts = probe.counter_value("core.sched_wm.attempts");
+            assert!(
+                attempts > 0 && attempts < cap,
+                "{par:?}: {attempts} of {cap} attempts prepared"
+            );
+        }
+    }
+
+    #[test]
+    fn embedding_evidence_is_detection_without_a_derivation() {
+        let g = mediabench(&mediabench_apps()[1], 0);
+        let wm = SchedulingWatermarker::new(SchedWmConfig::default());
+        let s = sig("evidence");
+        let emb = wm.embed(&g, &s).unwrap();
+        let plain = list_schedule(&g, &ResourceSet::unlimited(), None).unwrap();
+        for schedule in [&emb.schedule, &plain] {
+            let own = emb.evidence(schedule);
+            let detected = wm.detect(schedule, &g, &s).unwrap();
+            assert_eq!(own.checks, detected.checks);
+            assert_eq!(own.chances, detected.chances);
+            assert_eq!(own.log10_pc.to_bits(), detected.log10_pc.to_bits());
+        }
     }
 
     #[test]

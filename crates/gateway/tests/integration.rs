@@ -551,3 +551,32 @@ fn store_backed_fleet_aggregates_store_stats_through_cluster_stats() {
     backend.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_nesting_bomb_line_is_a_typed_bad_request_not_a_crash() {
+    use std::io::{BufRead, BufReader, Write};
+    let b0 = start_backend();
+    let gw = localwm_gateway::start(fast_config(vec![spec("b0", &b0)], 1)).expect("start gateway");
+
+    // One 200 KB line of `[`: the JSON parser once recursed on it until
+    // the connection thread's stack overflowed.
+    let mut stream = std::net::TcpStream::connect(gw.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut line = vec![b'['; 200 * 1024];
+    line.push(b'\n');
+    stream.write_all(&line).expect("send the bomb");
+    let mut answer = String::new();
+    if let Ok(n) = BufReader::new(stream).read_line(&mut answer) {
+        // Zero bytes is a clean close; anything else must be typed.
+        assert!(n == 0 || answer.contains("bad_request"), "{answer}");
+    }
+
+    // The gateway survived: a new connection still gets answers.
+    let mut c = connect(&gw);
+    let resp = c.call(&Request::new(RequestKind::Stats)).unwrap();
+    assert!(resp.ok, "{:?}", resp.error);
+    gw.shutdown();
+    b0.shutdown();
+}

@@ -856,3 +856,30 @@ fn restarted_server_answers_from_the_store_without_reparsing() {
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_nesting_bomb_line_is_a_typed_bad_request_not_a_crash() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = start_server(2, 16);
+
+    // One 200 KB line of `[`: the JSON parser once recursed on it until
+    // the connection thread's stack overflowed and took the process down.
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut line = vec![b'['; 200 * 1024];
+    line.push(b'\n');
+    stream.write_all(&line).expect("send the bomb");
+    let mut answer = String::new();
+    if let Ok(n) = BufReader::new(stream).read_line(&mut answer) {
+        // Zero bytes is a clean close; anything else must be typed.
+        assert!(n == 0 || answer.contains("bad_request"), "{answer}");
+    }
+
+    // The process survived: a new connection still gets answers.
+    let mut c = connect(&handle);
+    let resp = c.call(&Request::new(RequestKind::Stats)).unwrap();
+    assert!(resp.ok, "{:?}", resp.error);
+    handle.shutdown();
+}
