@@ -45,6 +45,10 @@ pub enum CdfgError {
         /// Description of the problem.
         message: String,
     },
+    /// A binary snapshot ([`Cdfg::from_snapshot`](crate::Cdfg::from_snapshot))
+    /// was malformed: bad magic or version, truncated, trailing bytes, or
+    /// an unknown kind, flag or tag.
+    Snapshot(String),
 }
 
 impl fmt::Display for CdfgError {
@@ -70,6 +74,7 @@ impl fmt::Display for CdfgError {
             CdfgError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
+            CdfgError::Snapshot(message) => write!(f, "malformed snapshot: {message}"),
         }
     }
 }

@@ -4,6 +4,8 @@ use std::collections::HashMap;
 
 use crate::{CdfgError, EdgeId, NodeId, OpKind, StrArena, Sym};
 
+mod snapshot;
+
 /// The kind of a CDFG edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeKind {
@@ -521,147 +523,6 @@ impl Cdfg {
             }
         }
         Ok(())
-    }
-}
-
-/// Hand-written [`serde`] impls (the vendored offline serde stand-in has no
-/// derive macros; see `vendor/README.md`).
-///
-/// A [`Cdfg`] serializes as `{"nodes": [...], "edges": [...]}` — removed
-/// edges appear as `null` so edge ids stay stable across a round-trip. The
-/// adjacency lists and the name index are derived data and are rebuilt on
-/// deserialization.
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::{Cdfg, Edge, EdgeKind};
-    use crate::EdgeId;
-    use serde::{DeError, Deserialize, Serialize, Value};
-
-    impl Serialize for EdgeKind {
-        fn to_value(&self) -> Value {
-            Value::Str(
-                match self {
-                    EdgeKind::Data => "Data",
-                    EdgeKind::Control => "Control",
-                    EdgeKind::Temporal => "Temporal",
-                }
-                .to_owned(),
-            )
-        }
-    }
-
-    impl Deserialize for EdgeKind {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            match v {
-                Value::Str(s) => match s.as_str() {
-                    "Data" => Ok(EdgeKind::Data),
-                    "Control" => Ok(EdgeKind::Control),
-                    "Temporal" => Ok(EdgeKind::Temporal),
-                    other => Err(DeError::msg(format!("unknown edge kind `{other}`"))),
-                },
-                other => Err(DeError::msg(format!(
-                    "expected edge-kind string, got {other:?}"
-                ))),
-            }
-        }
-    }
-
-    impl Serialize for Edge {
-        fn to_value(&self) -> Value {
-            Value::Object(vec![
-                ("kind".to_owned(), self.kind.to_value()),
-                ("src".to_owned(), self.src.to_value()),
-                ("dst".to_owned(), self.dst.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for Edge {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            let field = |name: &str| {
-                v.field(name)
-                    .ok_or_else(|| DeError::msg(format!("edge missing `{name}`")))
-            };
-            Ok(Edge {
-                kind: Deserialize::from_value(field("kind")?)?,
-                src: Deserialize::from_value(field("src")?)?,
-                dst: Deserialize::from_value(field("dst")?)?,
-            })
-        }
-    }
-
-    impl Serialize for Cdfg {
-        fn to_value(&self) -> Value {
-            // Nodes serialize inline (not via a `Serialize for Node`) so
-            // interned name symbols resolve through the arena; the bytes
-            // are identical to the former `Option<String>` field.
-            let nodes: Vec<Value> = self
-                .nodes
-                .iter()
-                .map(|n| {
-                    Value::Object(vec![
-                        ("kind".to_owned(), n.kind.to_value()),
-                        (
-                            "name".to_owned(),
-                            match n.name {
-                                Some(sym) => Value::Str(self.arena.get(sym).to_owned()),
-                                None => Value::Null,
-                            },
-                        ),
-                        ("literal".to_owned(), n.literal.to_value()),
-                    ])
-                })
-                .collect();
-            Value::Object(vec![
-                ("nodes".to_owned(), Value::Array(nodes)),
-                ("edges".to_owned(), self.edges.to_value()),
-            ])
-        }
-    }
-
-    impl Deserialize for Cdfg {
-        fn from_value(v: &Value) -> Result<Self, DeError> {
-            let Some(Value::Array(nodes_v)) = v.field("nodes") else {
-                return Err(DeError::msg("cdfg missing `nodes`"));
-            };
-            let edges: Vec<Option<Edge>> = Deserialize::from_value(
-                v.field("edges")
-                    .ok_or_else(|| DeError::msg("cdfg missing `edges`"))?,
-            )?;
-            let mut g = Cdfg::with_capacity(nodes_v.len(), edges.len());
-            for nv in nodes_v {
-                let field = |name: &str| {
-                    nv.field(name)
-                        .ok_or_else(|| DeError::msg(format!("node missing `{name}`")))
-                };
-                let kind = Deserialize::from_value(field("kind")?)?;
-                let id = match field("name")? {
-                    Value::Null => g.add_node(kind),
-                    Value::Str(name) => g
-                        .try_add_named_node(kind, name)
-                        .map_err(|_| DeError::msg(format!("duplicate node name `{name}`")))?,
-                    other => {
-                        return Err(DeError::msg(format!(
-                            "expected node-name string or null, got {other:?}"
-                        )))
-                    }
-                };
-                let literal: Option<i64> = Deserialize::from_value(field("literal")?)?;
-                if let Some(lit) = literal {
-                    g.set_literal(id, lit);
-                }
-            }
-            g.edges = edges;
-            for (ei, e) in g.edges.iter().enumerate() {
-                let Some(e) = e else { continue };
-                if e.src.index() >= g.nodes.len() || e.dst.index() >= g.nodes.len() {
-                    return Err(DeError::msg(format!("edge {ei} endpoint out of range")));
-                }
-                g.out_edges[e.src.index()].push(EdgeId::from_index(ei));
-                g.in_edges[e.dst.index()].push(EdgeId::from_index(ei));
-            }
-            Ok(g)
-        }
     }
 }
 

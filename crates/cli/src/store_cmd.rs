@@ -18,9 +18,7 @@
 use std::fs;
 
 use localwm_cdfg::{write_cdfg, Cdfg};
-use localwm_store::binval::decode_value;
 use localwm_store::{DesignStore, RecordKind};
-use serde::Deserialize;
 
 use crate::commands::flag_value;
 
@@ -60,16 +58,24 @@ fn ls(store: &DesignStore) -> CliResult {
         println!("{:<8} {key:016x}  {payload_len} bytes", kind.as_str());
     }
     let s = store.stats();
+    let mut notes = String::new();
+    let retired = s.records - records.len() as u64;
+    if retired > 0 {
+        notes.push_str(&format!(
+            " ({retired} record(s) of a retired kind, never read)"
+        ));
+    }
+    if s.dropped_tail > 0 {
+        notes.push_str(&format!(
+            " ({} torn tail(s) dropped on open)",
+            s.dropped_tail
+        ));
+    }
     println!(
-        "{} record(s) in {} segment(s), {} bytes on disk{}",
+        "{} record(s) in {} segment(s), {} bytes on disk{notes}",
         records.len(),
         s.segments,
         s.bytes,
-        if s.dropped_tail > 0 {
-            format!(" ({} torn tail(s) dropped on open)", s.dropped_tail)
-        } else {
-            String::new()
-        }
     );
     Ok(())
 }
@@ -99,8 +105,7 @@ fn get(store: &DesignStore, args: &[String]) -> CliResult {
         .get(RecordKind::Design, key)
         .map_err(|e| format!("reading record {key:016x}: {e}"))?
         .ok_or_else(|| format!("no design record with key {key:016x}"))?;
-    let value = decode_value(&payload).map_err(|e| format!("record {key:016x}: {e}"))?;
-    let graph = Cdfg::from_value(&value).map_err(|e| format!("record {key:016x}: {e}"))?;
+    let graph = Cdfg::from_snapshot(&payload).map_err(|e| format!("record {key:016x}: {e}"))?;
     let text = write_cdfg(&graph);
     match flag_value(args, "-o") {
         Some(out) => {

@@ -432,6 +432,133 @@ fn store_subcommands_manage_a_populated_store_dir() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A design record in the layout older builds wrote under tag 0: the
+/// binary `Value` encoding of `{"nodes": [...], "edges": [...]}`.
+fn legacy_design_payload(g: &localwm_cdfg::Cdfg) -> Vec<u8> {
+    use serde::Value;
+    let nodes = g
+        .node_ids()
+        .map(|n| {
+            let node = g.node(n).expect("id in range");
+            Value::Object(vec![
+                ("kind".to_owned(), Value::Str(format!("{:?}", node.kind()))),
+                (
+                    "name".to_owned(),
+                    g.node_name(n)
+                        .map_or(Value::Null, |s| Value::Str(s.to_owned())),
+                ),
+                (
+                    "literal".to_owned(),
+                    node.literal().map_or(Value::Null, Value::Int),
+                ),
+            ])
+        })
+        .collect();
+    let edges = g
+        .edges()
+        .map(|e| {
+            Value::Object(vec![
+                ("kind".to_owned(), Value::Str(format!("{:?}", e.kind()))),
+                ("src".to_owned(), Value::UInt(e.src().index() as u64)),
+                ("dst".to_owned(), Value::UInt(e.dst().index() as u64)),
+            ])
+        })
+        .collect();
+    localwm_store::binval::value_to_bytes(&Value::Object(vec![
+        ("nodes".to_owned(), Value::Array(nodes)),
+        ("edges".to_owned(), Value::Array(edges)),
+    ]))
+}
+
+/// A store written by an older build holds a tag-0 `Value` design record
+/// and its alias. A server on that store must answer byte-identically to a
+/// storeless one, write the current snapshot record beside the old one,
+/// and serve it from the store on the next restart; the maintenance
+/// commands must walk the leftover record without failing.
+#[test]
+fn a_store_from_an_older_build_is_served_and_upgraded() {
+    use localwm_store::binval::fnv1a;
+    use localwm_store::segment::Segment;
+
+    let dir = tmp_dir("old-store");
+    let design = dir.join("iir4.cdfg");
+    let store_dir = dir.join("store");
+    let _ = std::fs::remove_dir_all(&store_dir);
+    std::fs::create_dir_all(&store_dir).expect("create store dir");
+    run_ok(localwm().args(["gen", "iir4", "-o", design.to_str().unwrap()]));
+    let text = std::fs::read_to_string(&design).expect("read design");
+    let graph = localwm_cdfg::parse_cdfg(&text).expect("design parses");
+    let hash = fnv1a(localwm_cdfg::write_cdfg(&graph).as_bytes());
+    let timing = |addr: &str| {
+        let out = run_ok(localwm().args([
+            "request",
+            "timing",
+            "--addr",
+            addr,
+            "--design",
+            design.to_str().unwrap(),
+        ]));
+        out.lines()
+            .take_while(|l| !l.starts_with("repeat "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+
+    let mut server = spawn_server(None);
+    let reference = timing(&server.addr);
+    run_ok(localwm().args(["request", "shutdown", "--addr", &server.addr]));
+    assert!(server.child.wait().expect("server exit").success());
+
+    // Prime the store the way an older build left it.
+    {
+        let mut seg = Segment::create(&store_dir, 0).expect("create segment");
+        seg.append_bytes(&Segment::encode_record(
+            0,
+            hash,
+            &legacy_design_payload(&graph),
+        ))
+        .expect("append legacy design");
+        seg.append_bytes(&Segment::encode_record(
+            1,
+            fnv1a(text.as_bytes()),
+            &hash.to_le_bytes(),
+        ))
+        .expect("append alias");
+    }
+
+    for (life, puts) in [(1, "\"puts\": 1"), (2, "\"puts\": 0")] {
+        let mut server = spawn_store_server(&store_dir);
+        assert_eq!(
+            timing(&server.addr),
+            reference,
+            "life {life} answers like a storeless server"
+        );
+        let stats = run_ok(localwm().args(["request", "stats", "--addr", &server.addr]));
+        assert!(
+            stats.contains(puts),
+            "life {life}: the snapshot record is written once: {stats}"
+        );
+        run_ok(localwm().args(["request", "shutdown", "--addr", &server.addr]));
+        assert!(server.child.wait().expect("server exit").success());
+    }
+
+    let sd = store_dir.to_str().unwrap();
+    let ls = run_ok(localwm().args(["store", "ls", "--dir", sd]));
+    assert!(
+        ls.contains(&format!("design   {hash:016x}"))
+            && ls.contains("2 record(s)")
+            && ls.contains("1 record(s) of a retired kind"),
+        "ls lists the current records and counts the retired one: {ls}"
+    );
+    let verify = run_ok(localwm().args(["store", "verify", "--dir", sd]));
+    assert!(verify.contains("verified 3 record(s)"), "{verify}");
+    let got = run_ok(localwm().args(["store", "get", &format!("{hash:016x}"), "--dir", sd]));
+    assert_eq!(got, text, "get reads the snapshot record, not the old one");
+    let compact = run_ok(localwm().args(["store", "compact", "--dir", sd]));
+    assert!(compact.contains("compacted 3 live record(s)"), "{compact}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `localwm request --binary` negotiates the framed encoding and prints
 /// the same response a JSON connection would.
 #[test]

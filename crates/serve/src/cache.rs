@@ -29,10 +29,11 @@
 //!
 //! With `--store-dir`, a [`DesignStore`] sits under the LRU as a
 //! write-through tier: an in-memory miss consults the store (text alias →
-//! content hash → binary design record, decoded without touching the text
-//! parser), and a true miss parses the text then writes the design and its
-//! alias through to disk. A restarted replica therefore warm-starts: its
-//! first request per design costs a binary decode, not a parse.
+//! content hash → design record, a flat graph snapshot decoded without
+//! touching the text parser), and a true miss parses the text then writes
+//! the design and its alias through to disk. A restarted replica therefore
+//! warm-starts: its first request per design costs a snapshot decode, not
+//! a parse.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,9 +41,7 @@ use std::sync::{Arc, Mutex};
 
 use localwm_cdfg::{parse_cdfg, Cdfg};
 use localwm_engine::DesignContext;
-use localwm_store::binval::{decode_value, value_to_bytes};
 use localwm_store::{DesignStore, RecordKind};
-use serde::{Deserialize, Serialize};
 
 /// Default shard count, capped by the capacity so every shard can hold at
 /// least one design.
@@ -203,9 +202,9 @@ impl ContextCache {
     /// no canonicalization, just a hash of the request bytes (one alias
     /// shard lock + one entry shard lock). With a store mounted, an
     /// in-memory miss next tries the durable tier — alias record to content
-    /// hash to binary design record, decoded without the text parser. Only
-    /// a true miss parses the text, and its design and alias are then
-    /// written through to the store. Novel text always resolves through the
+    /// hash to design record, a graph snapshot decoded without the text
+    /// parser. Only a true miss parses the text, and its design and alias
+    /// are then written through to the store. Novel text always resolves through the
     /// canonical content hash, so two different spellings of the same
     /// design still share one context.
     ///
@@ -362,15 +361,14 @@ impl ContextCache {
 }
 
 /// Resolves `text_key` through the store tier: alias record → content
-/// hash → design record → decoded graph, hydrated with its known hash.
-/// Any miss or corruption returns `None` (the caller falls back to
+/// hash → design record → snapshot-decoded graph, hydrated with its known
+/// hash. Any miss or corruption returns `None` (the caller falls back to
 /// parsing; corrupt reads are already counted in the store's stats).
 fn load_from_store(store: &DesignStore, text_key: u64) -> Option<DesignContext> {
     let alias = store.get(RecordKind::Alias, text_key).ok()??;
     let hash = u64::from_le_bytes(alias.try_into().ok()?);
     let bytes = store.get(RecordKind::Design, hash).ok()??;
-    let value = decode_value(&bytes).ok()?;
-    let graph = Cdfg::from_value(&value).ok()?;
+    let graph = Cdfg::from_snapshot(&bytes).ok()?;
     Some(DesignContext::from_stored(graph, hash))
 }
 
@@ -379,7 +377,7 @@ fn load_from_store(store: &DesignStore, text_key: u64) -> Option<DesignContext> 
 /// they are logged and the parse result is served normally.
 fn write_through(store: &DesignStore, fresh: &DesignContext, text_key: u64) {
     let hash = fresh.content_hash();
-    let design = value_to_bytes(&fresh.graph().to_value());
+    let design = fresh.graph().to_snapshot();
     if let Err(e) = store.put(RecordKind::Design, hash, &design) {
         eprintln!("localwm-serve: store write-through (design {hash:016x}): {e}");
         return;

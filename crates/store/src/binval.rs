@@ -1,5 +1,6 @@
 //! The deterministic binary [`Value`] codec and length-prefixed frame
-//! format shared by segment payloads and the `LWMB1` wire protocol.
+//! format of the `LWMB1` wire protocol, and the FNV-1a checksum that
+//! frames and segment records share.
 //!
 //! Encoding (all integers little-endian):
 //!
@@ -49,8 +50,13 @@ const TAG_OBJECT: u8 = 0x08;
 
 /// FNV-1a over `bytes` — the checksum used by frames and segment records.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_parts(&[bytes])
+}
+
+/// FNV-1a over the concatenation of `parts`, without concatenating them.
+pub(crate) fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().flat_map(|part| part.iter()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -271,9 +277,17 @@ pub fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<()>
             format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"),
         ));
     }
+    // Grow the buffer only as bytes arrive: the header's length is a
+    // claim, and a peer that sends a 64 MiB header and then 16 bytes must
+    // not cost a 64 MiB allocation.
     body.clear();
-    body.resize(len as usize, 0);
-    r.read_exact(body)?;
+    r.take(u64::from(len)).read_to_end(body)?;
+    if body.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body truncated: {} of {len} bytes", body.len()),
+        ));
+    }
     let got = fnv1a(body);
     if got != want {
         return Err(io::Error::new(
@@ -366,6 +380,22 @@ mod tests {
         huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = read_frame(&mut huge.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_short_body_behind_a_huge_header_is_eof_without_a_huge_buffer() {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        wire.extend_from_slice(&0u64.to_le_bytes());
+        wire.extend_from_slice(&[0xAB; 16]);
+        let mut body = Vec::new();
+        let err = read_frame_into(&mut wire.as_slice(), &mut body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            body.capacity() < 1024 * 1024,
+            "a 16-byte body grew the buffer to {} bytes",
+            body.capacity()
+        );
     }
 
     #[test]

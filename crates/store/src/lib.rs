@@ -12,10 +12,10 @@
 //!   under its context LRU (`--store-dir`), so a restarted replica
 //!   warm-starts from disk instead of re-parsing every design from text.
 //! * [`binval`] — a bijective binary encoding of the vendored `serde`
-//!   `Value` tree plus a length-prefixed, checksummed frame format. The
-//!   same encoding serves as segment payload (stored designs) and as the
+//!   `Value` tree plus a length-prefixed, checksummed frame format: the
 //!   per-connection binary wire protocol a client negotiates by opening
-//!   with the `LWMB1` magic line.
+//!   with the `LWMB1` magic line. (Design records do not use it: their
+//!   payload is the graph's own flat snapshot, `Cdfg::to_snapshot`.)
 //!
 //! Storage fault injection ([`fault`]) mirrors the serve-side seams: a
 //! seeded plan of short writes, read errors and checksum flips, active

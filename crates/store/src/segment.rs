@@ -25,7 +25,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::binval::fnv1a;
+use crate::binval::fnv1a_parts;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"LWMSEG1\n";
@@ -51,13 +51,10 @@ pub fn parse_segment_file_name(name: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-/// The checksum a record carries: FNV-1a over kind, key and payload.
+/// The checksum a record carries: FNV-1a over kind, key-LE and payload,
+/// folded over the three parts in place.
 pub fn record_checksum(kind: u8, key: u64, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(9 + payload.len());
-    buf.push(kind);
-    buf.extend_from_slice(&key.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv1a(&buf)
+    fnv1a_parts(&[&[kind], &key.to_le_bytes(), payload])
 }
 
 /// Where one live record sits on disk.
@@ -318,6 +315,22 @@ mod tests {
         assert_eq!(parse_segment_file_name("seg-7.lwm"), None);
         assert_eq!(parse_segment_file_name("seg-000007.tmp"), None);
         assert_eq!(parse_segment_file_name("other.lwm"), None);
+    }
+
+    #[test]
+    fn record_checksums_match_the_values_pinned_before_the_in_place_fold() {
+        // Computed by the former copy-then-hash implementation; existing
+        // stores carry these checksums, so the value must never change.
+        let payload: Vec<u8> = (0u16..300).map(|i| (i * 7 + 3) as u8).collect();
+        assert_eq!(
+            record_checksum(2, 0x0123_4567_89ab_cdef, &payload),
+            0xf29d_aa07_80f2_ceb9
+        );
+        assert_eq!(
+            record_checksum(1, 42, &7u64.to_le_bytes()),
+            0xaa85_ea27_5951_54e1
+        );
+        assert_eq!(record_checksum(0, 0, b""), 0xe604_823a_2490_29bf);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A [`DesignStore`] is a directory of append-only [segment](crate::segment)
 //! files plus an in-memory index rebuilt by scanning every segment on open.
 //! Keys are 64-bit content hashes; payloads are opaque bytes (the serve
-//! tier stores binary-encoded designs and text-alias records). The store
+//! tier stores graph snapshots and text-alias records). The store
 //! is *content-addressed*: putting a key that is already present is a
 //! no-op, so concurrent replicas converge on one record per design.
 //!
@@ -26,19 +26,26 @@ use crate::segment::{
 use crate::fault::{StoreFaultAction, StoreFaultInjector, StoreFaultPlan, StorePoint};
 
 /// The record kinds the serve tier stores.
+///
+/// Tags are on-disk and never reused. Tag 0 held the `Value`-encoded
+/// design records of older builds; a store may still hold them, but no
+/// kind parses to tag 0, so they are never decoded (or listed by
+/// [`DesignStore::records`]) and never block a current record's write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecordKind {
-    /// A design record: key = canonical content hash, payload = the
-    /// binary-encoded design (see [`crate::binval`]).
-    Design,
-    /// An alias record: key = FNV-1a of the raw request text, payload =
-    /// the 8-byte little-endian content hash it resolves to. Aliases let
-    /// a byte-identical resend reach its design record without parsing.
-    Alias,
+    /// A design record (tag 2): key = canonical content hash, payload =
+    /// the graph's flat binary snapshot (`Cdfg::to_snapshot` in
+    /// `localwm-cdfg`).
+    Design = 2,
+    /// An alias record (tag 1): key = FNV-1a of the raw request text,
+    /// payload = the 8-byte little-endian content hash it resolves to.
+    /// Aliases let a byte-identical resend reach its design record without
+    /// parsing.
+    Alias = 1,
 }
 
 impl RecordKind {
-    /// Every kind, in tag order.
+    /// Every kind.
     pub const ALL: [RecordKind; 2] = [RecordKind::Design, RecordKind::Alias];
 
     /// The on-disk tag byte.
@@ -46,7 +53,7 @@ impl RecordKind {
         self as u8
     }
 
-    /// Parses an on-disk tag byte.
+    /// Parses an on-disk tag byte; `None` for retired and unknown tags.
     pub fn parse(tag: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|k| k.tag() == tag)
     }
@@ -394,8 +401,9 @@ impl DesignStore {
         keys
     }
 
-    /// Every live record as `(kind, key, payload_len)`, sorted — the CLI
-    /// `ls` listing.
+    /// Every live record of a current kind as `(kind, key, payload_len)`,
+    /// sorted — the CLI `ls` listing. Records with a retired tag are
+    /// skipped (they still count in [`StoreStats::records`]).
     pub fn records(&self) -> Vec<(RecordKind, u64, u32)> {
         let inner = self.inner.lock().expect("store lock");
         let mut out: Vec<(RecordKind, u64, u32)> = inner

@@ -2,8 +2,8 @@
 //!
 //! Three invariants from the issue:
 //!
-//! * put/get over random CDFGs is identity (through the binary `Value`
-//!   encoding used by the serve tier),
+//! * put/get over random CDFGs is identity (through the graph snapshot
+//!   the serve tier stores as a design record),
 //! * reopening after truncating a segment at an *arbitrary* byte offset
 //!   never panics and serves exactly the records before the cut,
 //! * `compact` preserves the live key set byte-identically.
@@ -17,7 +17,7 @@ use localwm_store::binval::{decode_value, value_to_bytes};
 use localwm_store::segment::segment_file_name;
 use localwm_store::{DesignStore, RecordKind, StoreConfig};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Value};
 
 fn tmp_dir(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -37,11 +37,37 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A graph as a `Value` tree mixing every variant the codec carries:
+/// strings, nulls, signed and unsigned integers, arrays and objects.
+fn dag_value(g: &Cdfg) -> Value {
+    let nodes = g
+        .node_ids()
+        .map(|n| {
+            Value::Object(vec![
+                ("kind".to_owned(), g.kind(n).to_value()),
+                (
+                    "name".to_owned(),
+                    g.node_name(n).map(str::to_owned).to_value(),
+                ),
+                ("depth".to_owned(), Value::Int(-(n.index() as i64))),
+            ])
+        })
+        .collect();
+    let edges = g
+        .edges()
+        .map(|e| Value::Array(vec![e.src().to_value(), e.dst().to_value()]))
+        .collect();
+    Value::Object(vec![
+        ("nodes".to_owned(), Value::Array(nodes)),
+        ("edges".to_owned(), Value::Array(edges)),
+    ])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A random design stored as its binary `Value` encoding comes back as
-    /// the identical graph: same canonical text, same structure.
+    /// A random design stored as its snapshot comes back as the identical
+    /// graph: same canonical text, same structure.
     #[test]
     fn put_get_over_random_cdfgs_is_identity(ops in 2usize..48, seed in 0u64..5000) {
         let g = layered(&LayeredConfig {
@@ -52,14 +78,14 @@ proptest! {
         });
         let text = write_cdfg(&g);
         let key = fnv1a(text.as_bytes());
-        let payload = value_to_bytes(&g.to_value());
+        let payload = g.to_snapshot();
 
         let dir = tmp_dir("identity", seed ^ ops as u64);
         let store = DesignStore::open(&dir).unwrap();
         prop_assert!(store.put(RecordKind::Design, key, &payload).unwrap());
         let back = store.get(RecordKind::Design, key).unwrap().unwrap();
         prop_assert_eq!(&back, &payload, "stored bytes are served verbatim");
-        let decoded = Cdfg::from_value(&decode_value(&back).unwrap()).unwrap();
+        let decoded = Cdfg::from_snapshot(&back).unwrap();
         prop_assert_eq!(write_cdfg(&decoded), text, "decoded graph is the same design");
         // And the identity survives a reopen from disk.
         drop(store);
@@ -68,13 +94,12 @@ proptest! {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The binary codec round-trips arbitrary DAG serializations exactly,
+    /// The binary codec round-trips arbitrary DAG-shaped trees exactly,
     /// and re-rendering the decoded tree as JSON reproduces the original
     /// JSON byte-for-byte (the decode-equivalence the wire lane relies on).
     #[test]
     fn binary_value_codec_is_a_bijection(n in 2usize..40, p in 0.0f64..0.5, seed in 0u64..2000) {
-        let g = random_dag(n, p, seed);
-        let v = g.to_value();
+        let v = dag_value(&random_dag(n, p, seed));
         let back = decode_value(&value_to_bytes(&v)).unwrap();
         prop_assert_eq!(&back, &v);
         prop_assert_eq!(serde_json::to_string(&back), serde_json::to_string(&v));
