@@ -444,6 +444,14 @@ impl Cdfg {
             .filter_map(move |&eid| self.edges[eid.index()].as_ref())
     }
 
+    /// Ids of a node's outgoing live edges.
+    pub fn out_edge_ids(&self, n: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
+        self.out_edges[n.index()]
+            .iter()
+            .copied()
+            .filter(move |&eid| self.edges[eid.index()].is_some())
+    }
+
     /// Incoming live edges of a node.
     pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> + '_ {
         self.in_edges[n.index()]

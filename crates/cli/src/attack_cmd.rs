@@ -20,12 +20,12 @@ use localwm_engine::{DesignContext, Parallelism};
 use localwm_sched::write_schedule;
 use serde::{object, Serialize, Value};
 
-use crate::commands::{flag_value, load_design, positional, signature, wm_config};
+use crate::commands::{load_design, parse_args, signature, wm_config, Args, Grammar};
 
 type CliResult = Result<(), String>;
 
-fn parse_seed(args: &[String]) -> Result<u64, String> {
-    match flag_value(args, "--seed") {
+fn parse_seed(flags: &Args) -> Result<u64, String> {
+    match flags.value("--seed") {
         None => Ok(0),
         Some(raw) => raw.parse().map_err(|_| format!("bad seed `{raw}`")),
     }
@@ -42,8 +42,8 @@ fn parse_budget_value(raw: &str) -> Result<f64, String> {
     Ok(b)
 }
 
-fn parse_budgets(args: &[String]) -> Result<Vec<f64>, String> {
-    match flag_value(args, "--budgets") {
+fn parse_budgets(flags: &Args) -> Result<Vec<f64>, String> {
+    match flags.value("--budgets") {
         None => Ok(DEFAULT_BUDGETS.to_vec()),
         Some(raw) => {
             let budgets: Vec<f64> = raw
@@ -62,24 +62,44 @@ fn parse_budgets(args: &[String]) -> Result<Vec<f64>, String> {
 /// `localwm attack <design.cdfg> --author ID [--attack KIND] [--budget B]
 /// [--seed N] [--fraction F | --k K] [-o schedule.txt] [--trace-out FILE]`
 pub fn attack(args: &[String]) -> CliResult {
-    let path = positional(args, 0).ok_or("attack: missing design file")?;
+    let grammar = Grammar {
+        values: &[
+            "--author",
+            "--fraction",
+            "--k",
+            "--attack",
+            "--budget",
+            "--seed",
+            "-o",
+            "--trace-out",
+        ],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("attack", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("attack: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
-    let sig = signature(args)?;
-    let kind_raw = flag_value(args, "--attack").unwrap_or("reschedule");
+    let sig = signature(&flags)?;
+    let kind_raw = flags.value("--attack").unwrap_or("reschedule");
     let kind = AttackKind::parse(kind_raw).ok_or_else(|| {
         format!("unknown attack kind `{kind_raw}` (reschedule|rewire|resynth|strip)")
     })?;
-    let budget = match flag_value(args, "--budget") {
+    let budget = match flags.value("--budget") {
         None => 0.25,
         Some(raw) => parse_budget_value(raw)?,
     };
-    let seed = parse_seed(args)?;
+    let seed = parse_seed(&flags)?;
     let run = attack_once_in(
         &ctx,
         &sig,
         Parallelism::from_env(),
         &AttackConfig { kind, budget, seed },
-        &wm_config(args)?,
+        &wm_config(&flags)?,
     )
     .map_err(|e| e.to_string())?;
 
@@ -99,12 +119,12 @@ pub fn attack(args: &[String]) -> CliResult {
         "coincidence     ~10^{:.1} (strength {:.6})",
         cell.log10_pc, cell.strength
     );
-    if let Some(out) = flag_value(args, "-o") {
+    if let Some(out) = flags.value("-o") {
         let text = write_schedule(&run.outcome.graph, &run.outcome.schedule);
         fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote attacked schedule to {out}");
     }
-    if let Some(out) = flag_value(args, "--trace-out") {
+    if let Some(out) = flags.value("--trace-out") {
         fs::write(out, run.outcome.trace.render()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote attack trace to {out}");
     }
@@ -121,21 +141,40 @@ pub fn attack(args: &[String]) -> CliResult {
 /// `localwm strength --corpus DIR --author ID [...]` for the corpus-wide
 /// aggregated table.
 pub fn strength(args: &[String]) -> CliResult {
-    let sig = signature(args)?;
+    let grammar = Grammar {
+        values: &[
+            "--author",
+            "--fraction",
+            "--k",
+            "--budgets",
+            "--seed",
+            "-o",
+            "--corpus",
+        ],
+        switches: &["--json"],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("strength", args, &grammar)? else {
+        return Ok(());
+    };
+    let sig = signature(&flags)?;
     let cfg = StrengthConfig {
-        budgets: parse_budgets(args)?,
-        seed: parse_seed(args)?,
-        wm: wm_config(args)?,
+        budgets: parse_budgets(&flags)?,
+        seed: parse_seed(&flags)?,
+        wm: wm_config(&flags)?,
     };
     let par = Parallelism::from_env();
-    let json = args.iter().any(|a| a == "--json");
-    let out = flag_value(args, "-o");
+    let json = flags.has("--json");
+    let out = flags.value("-o");
 
-    if let Some(dir) = flag_value(args, "--corpus") {
+    if let Some(dir) = flags.value("--corpus") {
         return corpus_strength(dir, &sig, par, &cfg, json, out);
     }
 
-    let path = positional(args, 0).ok_or("strength: missing design file (or --corpus DIR)")?;
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("strength: missing design file (or --corpus DIR)")?;
     let ctx = DesignContext::new(load_design(path)?);
     let report = strength_report_in(&ctx, &sig, par, &cfg).map_err(|e| e.to_string())?;
     if json {

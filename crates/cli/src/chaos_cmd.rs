@@ -14,7 +14,7 @@ use std::time::Duration;
 use localwm_testkit::chaos::{self, ChaosConfig};
 use localwm_testkit::cluster::{self, GatewayChaosConfig};
 
-use crate::commands::flag_value;
+use crate::commands::{parse_args, Args, Grammar};
 
 /// Runs `localwm chaos [--seed N] [--requests N] [--faults-per-point N]
 /// [--workers N] [--queue-depth N] [--cache-cap N] [--recv-timeout-ms N]
@@ -30,14 +30,47 @@ use crate::commands::flag_value;
 /// Returns a message for bad flags, harness failures, or violated
 /// invariants.
 pub fn chaos(args: &[String]) -> Result<(), String> {
+    let gateway = args.iter().any(|a| a == "--gateway");
+    let grammar = if gateway {
+        Grammar {
+            values: &[
+                "--seed",
+                "--requests",
+                "--backends",
+                "--replicas",
+                "--recv-timeout-ms",
+                "--report-out",
+            ],
+            switches: &["--gateway", "--no-kill", "--no-restart", "--json"],
+            positionals: 0,
+        }
+    } else {
+        Grammar {
+            values: &[
+                "--seed",
+                "--requests",
+                "--faults-per-point",
+                "--workers",
+                "--queue-depth",
+                "--cache-cap",
+                "--recv-timeout-ms",
+                "--report-out",
+            ],
+            switches: &["--json"],
+            positionals: 0,
+        }
+    };
+    let Some(flags) = parse_args("chaos", args, &grammar)? else {
+        return Ok(());
+    };
     let parse = |flag: &str, default: u64| -> Result<u64, String> {
-        match flag_value(args, flag) {
+        match flags.value(flag) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("bad {flag}: `{v}`")),
         }
     };
-    if args.iter().any(|a| a == "--gateway") {
-        return gateway_chaos(args, &parse);
+    if gateway {
+        return gateway_chaos(&flags, &parse);
     }
     let cfg = ChaosConfig {
         seed: parse("--seed", 1)?,
@@ -59,9 +92,9 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
 
     let out = chaos::run(&cfg)?;
 
-    let json = args.iter().any(|a| a == "--json");
+    let json = flags.has("--json");
     let report = serde_json::to_string_pretty(&out.report).map_err(|e| e.to_string())?;
-    if let Some(path) = flag_value(args, "--report-out") {
+    if let Some(path) = flags.value("--report-out") {
         std::fs::write(path, format!("{report}\n")).map_err(|e| format!("{path}: {e}"))?;
     }
     if json {
@@ -113,7 +146,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
 /// gateway, a seeded backend kill (and optional restart) mid-stream, and
 /// the no-silent-drop invariant checked over every accepted request.
 fn gateway_chaos(
-    args: &[String],
+    flags: &Args,
     parse: &dyn Fn(&str, u64) -> Result<u64, String>,
 ) -> Result<(), String> {
     let cfg = GatewayChaosConfig {
@@ -121,18 +154,18 @@ fn gateway_chaos(
         requests: usize::try_from(parse("--requests", 32)?).map_err(|e| e.to_string())?,
         backends: usize::try_from(parse("--backends", 2)?).map_err(|e| e.to_string())?,
         replicas: usize::try_from(parse("--replicas", 2)?).map_err(|e| e.to_string())?,
-        kill: !args.iter().any(|a| a == "--no-kill"),
-        restart: !args.iter().any(|a| a == "--no-restart"),
+        kill: !flags.has("--no-kill"),
+        restart: !flags.has("--no-restart"),
         recv_timeout: Duration::from_millis(parse("--recv-timeout-ms", 10_000)?),
     };
 
     let out = cluster::run_gateway_chaos(&cfg)?;
 
     let report = serde_json::to_string_pretty(&out.report).map_err(|e| e.to_string())?;
-    if let Some(path) = flag_value(args, "--report-out") {
+    if let Some(path) = flags.value("--report-out") {
         std::fs::write(path, format!("{report}\n")).map_err(|e| format!("{path}: {e}"))?;
     }
-    if args.iter().any(|a| a == "--json") {
+    if flags.has("--json") {
         println!("{report}");
     } else {
         println!(

@@ -95,51 +95,134 @@ DESIGNS (for gen):
   iir4 | cf-iir | linear-ge | wavelet | modem | volterra2 | volterra3 |
   dac | echo | mediabench:<dac|g721|epic|pegwit|pgp|gsm|jpeg|mpeg2>";
 
-pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// What a subcommand accepts: flags followed by a value, switches that
+/// stand alone, and at most `positionals` other arguments.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Grammar {
+    pub(crate) values: &'static [&'static str],
+    pub(crate) switches: &'static [&'static str],
+    pub(crate) positionals: usize,
 }
 
-/// Validates the arguments of a subcommand whose flags all take a value.
-/// Returns `Ok(true)` when `--help`/`-h` asked for `usage` (the caller
-/// prints it and exits 0), `Ok(false)` when every argument is one of
-/// `flags` followed by its value, and an error carrying `usage` for an
-/// unknown flag, a stray argument or a flag missing its value.
-pub(crate) fn check_flags(args: &[String], flags: &[&str], usage: &str) -> Result<bool, String> {
+/// The arguments a [`Grammar`] accepted. Handlers read their flags from
+/// here, and reading a flag the grammar does not list panics, so a flag
+/// can never be read without the grammar also accepting it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Args<'s> {
+    /// The positional arguments, in order.
+    pub(crate) positionals: Vec<&'s str>,
+    /// Every value flag given, with its value, in order.
+    values: Vec<(&'s str, &'s str)>,
+    /// Every switch given.
+    switches: Vec<&'s str>,
+    grammar: Grammar,
+}
+
+impl<'s> Args<'s> {
+    /// The value of the first `flag` given, if any.
+    pub(crate) fn value(&self, flag: &str) -> Option<&'s str> {
+        assert!(
+            self.grammar.values.contains(&flag),
+            "`{flag}` is not a value flag of this grammar"
+        );
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|&(_, v)| v)
+    }
+
+    /// [`Args::value`] parsed as a `T`: `Ok(None)` when the flag is absent.
+    pub(crate) fn parse<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(raw) => raw
+                .parse::<T>()
+                .map(Some)
+                .map_err(|_| format!("bad value for {flag}: `{raw}`")),
+        }
+    }
+
+    /// Whether `switch` was given.
+    pub(crate) fn has(&self, switch: &str) -> bool {
+        assert!(
+            self.grammar.switches.contains(&switch),
+            "`{switch}` is not a switch of this grammar"
+        );
+        self.switches.contains(&switch)
+    }
+}
+
+/// Validates a subcommand's arguments against its grammar. Returns
+/// `Ok(None)` when `--help`/`-h` asked for `usage` (the caller prints it
+/// and exits 0), and otherwise the accepted [`Args`]. An unknown flag, a
+/// positional past the grammar's count or a value flag without its value
+/// fails with an error carrying `usage`.
+pub(crate) fn check_flags<'s>(
+    args: &'s [String],
+    grammar: &Grammar,
+    usage: &str,
+) -> Result<Option<Args<'s>>, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        return Ok(true);
+        return Ok(None);
     }
-    let mut it = args.iter();
+    let mut parsed = Args {
+        positionals: Vec::new(),
+        values: Vec::new(),
+        switches: Vec::new(),
+        grammar: *grammar,
+    };
+    let mut it = args.iter().map(String::as_str);
     while let Some(arg) = it.next() {
-        if !flags.contains(&arg.as_str()) {
-            let what = if arg.starts_with('-') {
-                "unknown flag"
-            } else {
-                "unexpected argument"
-            };
-            return Err(format!("{what} `{arg}`\n{usage}"));
-        }
-        if it.next().is_none() {
-            return Err(format!("{arg} needs a value\n{usage}"));
+        if grammar.values.contains(&arg) {
+            let value = it
+                .next()
+                .ok_or_else(|| format!("{arg} needs a value\n{usage}"))?;
+            parsed.values.push((arg, value));
+        } else if grammar.switches.contains(&arg) {
+            parsed.switches.push(arg);
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag `{arg}`\n{usage}"));
+        } else if parsed.positionals.len() == grammar.positionals {
+            return Err(format!("unexpected argument `{arg}`\n{usage}"));
+        } else {
+            parsed.positionals.push(arg);
         }
     }
-    Ok(false)
+    Ok(Some(parsed))
 }
 
-pub(crate) fn positional(args: &[String], idx: usize) -> Option<&str> {
-    args.iter()
-        .filter(|a| !a.starts_with('-'))
-        .scan(false, |skip, a| {
-            // Skip flag values: a positional preceded by a flag token is a
-            // value, not a positional. Handled by the caller passing only
-            // leading positionals in our grammar; keep it simple here.
-            let _ = skip;
-            Some(a)
-        })
-        .nth(idx)
-        .map(String::as_str)
+/// The usage text of subcommand `cmd`: its lines of the help text, each
+/// form starting `usage: localwm <cmd>`.
+pub(crate) fn usage(cmd: &str) -> String {
+    let form = format!("  localwm {cmd} ");
+    let mut lines = Vec::new();
+    let mut inside = false;
+    for line in HELP.lines() {
+        if line.starts_with(&form) {
+            inside = true;
+            lines.push(format!("usage:{}", &line[1..]));
+        } else if inside && line.starts_with("   ") {
+            lines.push(line.to_owned());
+        } else {
+            inside = false;
+        }
+    }
+    lines.join("\n")
+}
+
+/// [`check_flags`] for subcommand `cmd` against its [`usage`]: `Ok(None)`
+/// once that usage is printed for `--help`.
+pub(crate) fn parse_args<'s>(
+    cmd: &str,
+    args: &'s [String],
+    grammar: &Grammar,
+) -> Result<Option<Args<'s>>, String> {
+    let usage = usage(cmd);
+    let parsed = check_flags(args, grammar, &usage)?;
+    if parsed.is_none() {
+        println!("{usage}");
+    }
+    Ok(parsed)
 }
 
 pub(crate) fn load_design(path: &str) -> Result<Cdfg, String> {
@@ -148,14 +231,26 @@ pub(crate) fn load_design(path: &str) -> Result<Cdfg, String> {
 }
 
 fn gen(args: &[String]) -> CliResult {
-    let name = positional(args, 0).ok_or("gen: missing design name")?;
-    let seed: u64 = flag_value(args, "--seed")
+    let grammar = Grammar {
+        values: &["--seed", "-o"],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("gen", args, &grammar)? else {
+        return Ok(());
+    };
+    let name = flags
+        .positionals
+        .first()
+        .ok_or("gen: missing design name")?;
+    let seed: u64 = flags
+        .value("--seed")
         .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
         .transpose()?
         .unwrap_or(0);
     let g = build_design(name, seed)?;
     let text = write_cdfg(&g);
-    match flag_value(args, "-o") {
+    match flags.value("-o") {
         Some(path) => {
             fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
             println!(
@@ -200,7 +295,18 @@ fn build_design(name: &str, seed: u64) -> Result<Cdfg, String> {
 }
 
 fn info(args: &[String]) -> CliResult {
-    let path = positional(args, 0).ok_or("info: missing design file")?;
+    let grammar = Grammar {
+        values: &[],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("info", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("info: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
     let t = ctx.unit_timing();
@@ -222,7 +328,18 @@ fn info(args: &[String]) -> CliResult {
 }
 
 fn dot(args: &[String]) -> CliResult {
-    let path = positional(args, 0).ok_or("dot: missing design file")?;
+    let grammar = Grammar {
+        values: &[],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("dot", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("dot: missing design file")?;
     let g = load_design(path)?;
     print!("{}", g.to_dot("design"));
     Ok(())
@@ -230,34 +347,46 @@ fn dot(args: &[String]) -> CliResult {
 
 /// Watermark parameters shared by `embed`/`detect`/`attack`/`strength`:
 /// `--fraction F` sizes the constraint set to F·N edges, `--k K` pins it.
-pub(crate) fn wm_config(args: &[String]) -> Result<SchedWmConfig, String> {
+pub(crate) fn wm_config(flags: &Args) -> Result<SchedWmConfig, String> {
     let mut config = SchedWmConfig::default();
-    if let Some(f) = flag_value(args, "--fraction") {
+    if let Some(f) = flags.value("--fraction") {
         let f: f64 = f.parse().map_err(|_| format!("bad fraction `{f}`"))?;
         config = SchedWmConfig::with_node_fraction(f);
     }
-    if let Some(k) = flag_value(args, "--k") {
+    if let Some(k) = flags.value("--k") {
         config.k = k.parse().map_err(|_| format!("bad k `{k}`"))?;
     }
     Ok(config)
 }
 
-fn watermarker(args: &[String]) -> Result<SchedulingWatermarker, String> {
-    Ok(SchedulingWatermarker::new(wm_config(args)?))
+fn watermarker(flags: &Args) -> Result<SchedulingWatermarker, String> {
+    Ok(SchedulingWatermarker::new(wm_config(flags)?))
 }
 
-pub(crate) fn signature(args: &[String]) -> Result<Signature, String> {
-    flag_value(args, "--author")
+pub(crate) fn signature(flags: &Args) -> Result<Signature, String> {
+    flags
+        .value("--author")
         .map(Signature::from_author)
         .ok_or_else(|| "missing --author <id>".to_owned())
 }
 
 fn embed(args: &[String]) -> CliResult {
-    let path = positional(args, 0).ok_or("embed: missing design file")?;
+    let grammar = Grammar {
+        values: &["--author", "--fraction", "--k", "-o", "--marked"],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("embed", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("embed: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
-    let wm = watermarker(args)?;
-    let sig = signature(args)?;
+    let wm = watermarker(&flags)?;
+    let sig = signature(&flags)?;
     let emb = wm
         .embed_in(&ctx, &sig, Parallelism::from_env())
         .map_err(|e| e.to_string())?;
@@ -270,14 +399,14 @@ fn embed(args: &[String]) -> CliResult {
         emb.available_steps
     );
     let text = write_schedule(g, &emb.schedule);
-    match flag_value(args, "-o") {
+    match flags.value("-o") {
         Some(out) => {
             fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
             println!("wrote schedule to {out}");
         }
         None => print!("{text}"),
     }
-    if let Some(marked_path) = flag_value(args, "--marked") {
+    if let Some(marked_path) = flags.value("--marked") {
         fs::write(marked_path, write_cdfg(&emb.marked))
             .map_err(|e| format!("writing {marked_path}: {e}"))?;
         println!("wrote constrained specification to {marked_path}");
@@ -286,13 +415,27 @@ fn embed(args: &[String]) -> CliResult {
 }
 
 fn detect(args: &[String]) -> CliResult {
-    let design_path = positional(args, 0).ok_or("detect: missing design file")?;
-    let sched_path = positional(args, 1).ok_or("detect: missing schedule file")?;
+    let grammar = Grammar {
+        values: &["--author", "--fraction", "--k"],
+        switches: &[],
+        positionals: 2,
+    };
+    let Some(flags) = parse_args("detect", args, &grammar)? else {
+        return Ok(());
+    };
+    let design_path = *flags
+        .positionals
+        .first()
+        .ok_or("detect: missing design file")?;
+    let sched_path = *flags
+        .positionals
+        .get(1)
+        .ok_or("detect: missing schedule file")?;
     let ctx = DesignContext::new(load_design(design_path)?);
     let text = fs::read_to_string(sched_path).map_err(|e| format!("reading {sched_path}: {e}"))?;
     let schedule = parse_schedule(ctx.graph(), &text)?;
-    let wm = watermarker(args)?;
-    let sig = signature(args)?;
+    let wm = watermarker(&flags)?;
+    let sig = signature(&flags)?;
     let ev = wm
         .detect_in(&schedule, &ctx, &sig, Parallelism::from_env())
         .map_err(|e| e.to_string())?;
@@ -312,7 +455,25 @@ fn detect(args: &[String]) -> CliResult {
 }
 
 fn schedule_cmd(args: &[String]) -> CliResult {
-    let path = positional(args, 0).ok_or("schedule: missing design file")?;
+    let grammar = Grammar {
+        values: &[
+            "--scheduler",
+            "--steps",
+            "--alu",
+            "--mult",
+            "--mem",
+            "--branch",
+        ],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("schedule", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("schedule: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
     let mut rs = ResourceSet::unlimited();
@@ -322,17 +483,18 @@ fn schedule_cmd(args: &[String]) -> CliResult {
         ("--mem", OpClass::Memory),
         ("--branch", OpClass::Branch),
     ] {
-        if let Some(v) = flag_value(args, flag) {
+        if let Some(v) = flags.value(flag) {
             let n: usize = v.parse().map_err(|_| format!("bad {flag} `{v}`"))?;
             rs = rs.with(class, n);
         }
     }
     let cp = ctx.critical_path();
-    let steps: u32 = flag_value(args, "--steps")
+    let steps: u32 = flags
+        .value("--steps")
         .map(|v| v.parse().map_err(|_| format!("bad steps `{v}`")))
         .transpose()?
         .unwrap_or(cp);
-    let scheduler = flag_value(args, "--scheduler").unwrap_or("list");
+    let scheduler = flags.value("--scheduler").unwrap_or("list");
     let s = match scheduler {
         "list" => list_schedule_in(&ctx, &rs, None).map_err(|e| e.to_string())?,
         "fds" => force_directed_schedule_in(&ctx, steps).map_err(|e| e.to_string())?,
@@ -351,10 +513,22 @@ fn schedule_cmd(args: &[String]) -> CliResult {
 }
 
 fn simulate(args: &[String]) -> CliResult {
-    let path = positional(args, 0).ok_or("simulate: missing design file")?;
+    let grammar = Grammar {
+        values: &["--seed"],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("simulate", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("simulate: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
-    let seed: u64 = flag_value(args, "--seed")
+    let seed: u64 = flags
+        .value("--seed")
         .map(|v| v.parse().map_err(|_| format!("bad seed `{v}`")))
         .transpose()?
         .unwrap_or(0);
@@ -370,29 +544,52 @@ fn simulate(args: &[String]) -> CliResult {
 /// Full timing-analysis sweep through the shared engine layer, with
 /// optional instrumentation-probe JSON dump (`--probe-out`).
 fn analyze(args: &[String]) -> CliResult {
-    let path = positional(args, 0).ok_or("analyze: missing design file")?;
+    let grammar = Grammar {
+        values: &[
+            "--deadline",
+            "--lo",
+            "--hi",
+            "--samples",
+            "--seed",
+            "--probe-out",
+        ],
+        switches: &[],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("analyze", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = *flags
+        .positionals
+        .first()
+        .ok_or("analyze: missing design file")?;
     let probe = Arc::new(RecordingProbe::new());
     let ctx = DesignContext::new(load_design(path)?).with_probe(probe.clone());
     let g = ctx.graph();
 
     let cp = ctx.critical_path();
-    let deadline: u32 = flag_value(args, "--deadline")
+    let deadline: u32 = flags
+        .value("--deadline")
         .map(|v| v.parse().map_err(|_| format!("bad deadline `{v}`")))
         .transpose()?
         .unwrap_or(cp);
-    let lo: u64 = flag_value(args, "--lo")
+    let lo: u64 = flags
+        .value("--lo")
         .map(|v| v.parse().map_err(|_| format!("bad lo `{v}`")))
         .transpose()?
         .unwrap_or(1);
-    let hi: u64 = flag_value(args, "--hi")
+    let hi: u64 = flags
+        .value("--hi")
         .map(|v| v.parse().map_err(|_| format!("bad hi `{v}`")))
         .transpose()?
         .unwrap_or(3);
-    let samples: usize = flag_value(args, "--samples")
+    let samples: usize = flags
+        .value("--samples")
         .map(|v| v.parse().map_err(|_| format!("bad samples `{v}`")))
         .transpose()?
         .unwrap_or(200);
-    let seed: u64 = flag_value(args, "--seed")
+    let seed: u64 = flags
+        .value("--seed")
         .map(|v| v.parse().map_err(|_| format!("bad seed `{v}`")))
         .transpose()?
         .unwrap_or(0);
@@ -421,23 +618,17 @@ fn analyze(args: &[String]) -> CliResult {
     println!("possibly critical ops: {}", maybe.len());
 
     let report = criticality_in(&ctx, &model, samples, seed, Parallelism::from_env());
-    let mut hot: Vec<(f64, localwm_cdfg::NodeId)> = g
-        .node_ids()
-        .filter(|&n| g.kind(n).is_schedulable())
-        .map(|n| (report.probability(n), n))
-        .collect();
-    hot.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
     println!(
         "criticality     {samples} samples, seed {seed}; delay p50 {} / p95 {}",
         report.delay_quantile(0.5),
         report.delay_quantile(0.95)
     );
-    for &(p, n) in hot.iter().take(5) {
+    for (n, p) in report.top_critical(5, |n| g.kind(n).is_schedulable()) {
         let name = g.node_name(n).map_or_else(|| n.to_string(), str::to_owned);
         println!("  {name:<12} critical in {:.0}% of samples", 100.0 * p);
     }
 
-    if let Some(out) = flag_value(args, "--probe-out") {
+    if let Some(out) = flags.value("--probe-out") {
         fs::write(out, probe.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote probe counters to {out}");
     }
@@ -468,14 +659,77 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let args: Vec<String> = ["x.cdfg", "--author", "al", "--k", "5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--author"), Some("al"));
-        assert_eq!(flag_value(&args, "--k"), Some("5"));
-        assert_eq!(flag_value(&args, "--missing"), None);
-        assert_eq!(positional(&args, 0), Some("x.cdfg"));
+        let strings = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let args = strings(&["x.cdfg", "--author", "al", "--k", "5", "--k", "6"]);
+        let grammar = Grammar {
+            values: &["--author", "--k", "--missing"],
+            switches: &["--json"],
+            positionals: 1,
+        };
+        let parsed = check_flags(&args, &grammar, "u").unwrap().unwrap();
+        assert_eq!(parsed.positionals, vec!["x.cdfg"]);
+        assert_eq!(parsed.value("--author"), Some("al"));
+        assert_eq!(parsed.value("--k"), Some("5"));
+        assert_eq!(parsed.parse::<u32>("--k"), Ok(Some(5)));
+        assert_eq!(
+            parsed.parse::<u32>("--author"),
+            Err("bad value for --author: `al`".to_owned())
+        );
+        assert_eq!(parsed.value("--missing"), None);
+        assert!(!parsed.has("--json"));
+        let flags_first = strings(&["--k", "5", "--json", "x.cdfg"]);
+        let parsed = check_flags(&flags_first, &grammar, "u").unwrap().unwrap();
+        assert_eq!(parsed.positionals, vec!["x.cdfg"]);
+        assert!(parsed.has("--json"));
+        for (bad, why) in [
+            (
+                strings(&["x.cdfg", "y.cdfg"]),
+                "unexpected argument `y.cdfg`\nu",
+            ),
+            (strings(&["x.cdfg", "--kk", "5"]), "unknown flag `--kk`\nu"),
+            (
+                strings(&["x.cdfg", "--author"]),
+                "--author needs a value\nu",
+            ),
+        ] {
+            assert_eq!(check_flags(&bad, &grammar, "u"), Err(why.to_owned()));
+        }
+        assert_eq!(
+            check_flags(&strings(&["-h", "--kk"]), &grammar, "u"),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "`--seed` is not a value flag of this grammar")]
+    fn reading_a_flag_outside_the_grammar_panics() {
+        let grammar = Grammar {
+            values: &["--k"],
+            switches: &[],
+            positionals: 0,
+        };
+        let args: Vec<String> = Vec::new();
+        let parsed = check_flags(&args, &grammar, "u").unwrap().unwrap();
+        let _ = parsed.value("--seed");
+    }
+
+    #[test]
+    fn every_subcommand_has_usage_text() {
+        for cmd in [
+            "gen", "info", "dot", "embed", "detect", "attack", "strength", "schedule", "simulate",
+            "analyze", "serve", "store", "gateway", "request", "chaos",
+        ] {
+            let usage = usage(cmd);
+            assert!(
+                usage.starts_with(&format!("usage: localwm {cmd}")),
+                "{cmd}: {usage}"
+            );
+        }
+        assert_eq!(
+            usage("strength").matches("usage: localwm strength").count(),
+            2
+        );
+        assert!(usage("serve").contains("[--store-dir DIR]"));
     }
 
     #[test]

@@ -2,23 +2,7 @@
 
 use localwm_gateway::{BackendSpec, GatewayConfig};
 
-use crate::commands::{check_flags, flag_value};
-
-const GATEWAY_USAGE: &str =
-    "usage: localwm gateway --backends [name=]HOST:PORT[,...] [--addr HOST:PORT]
-                       [--replicas N] [--max-retries N] [--backoff-base-ms N]
-                       [--backoff-cap-ms N] [--recv-timeout-ms N]
-                       [--health-interval-ms N|off]";
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("bad value for {flag}: `{raw}`")),
-    }
-}
+use crate::commands::{parse_args, Grammar};
 
 /// Runs `localwm gateway --backends [name=]H:P,[name=]H:P,... [--addr A]
 /// [--replicas N] [--max-retries N] [--backoff-base-ms N]
@@ -31,21 +15,25 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
 ///
 /// Returns a message for bad flags or bind failures.
 pub fn gateway(args: &[String]) -> Result<(), String> {
-    let flags = [
-        "--backends",
-        "--addr",
-        "--replicas",
-        "--max-retries",
-        "--backoff-base-ms",
-        "--backoff-cap-ms",
-        "--recv-timeout-ms",
-        "--health-interval-ms",
-    ];
-    if check_flags(args, &flags, GATEWAY_USAGE)? {
-        println!("{GATEWAY_USAGE}");
+    let grammar = Grammar {
+        values: &[
+            "--backends",
+            "--addr",
+            "--replicas",
+            "--max-retries",
+            "--backoff-base-ms",
+            "--backoff-cap-ms",
+            "--recv-timeout-ms",
+            "--health-interval-ms",
+        ],
+        switches: &[],
+        positionals: 0,
+    };
+    let Some(flags) = parse_args("gateway", args, &grammar)? else {
         return Ok(());
-    }
-    let raw = flag_value(args, "--backends")
+    };
+    let raw = flags
+        .value("--backends")
         .ok_or("gateway: --backends [name=]host:port[,...] is required")?;
     let backends: Vec<BackendSpec> = raw
         .split(',')
@@ -54,28 +42,26 @@ pub fn gateway(args: &[String]) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
 
     let mut cfg = GatewayConfig {
-        addr: flag_value(args, "--addr")
-            .unwrap_or("127.0.0.1:7272")
-            .to_owned(),
+        addr: flags.value("--addr").unwrap_or("127.0.0.1:7272").to_owned(),
         backends,
         ..GatewayConfig::default()
     };
-    if let Some(n) = parse_flag::<usize>(args, "--replicas")? {
+    if let Some(n) = flags.parse::<usize>("--replicas")? {
         cfg.replicas = n.max(1);
     }
-    if let Some(n) = parse_flag::<u32>(args, "--max-retries")? {
+    if let Some(n) = flags.parse::<u32>("--max-retries")? {
         cfg.max_retries = n;
     }
-    if let Some(n) = parse_flag::<u64>(args, "--backoff-base-ms")? {
+    if let Some(n) = flags.parse::<u64>("--backoff-base-ms")? {
         cfg.backoff_base_ms = n;
     }
-    if let Some(n) = parse_flag::<u64>(args, "--backoff-cap-ms")? {
+    if let Some(n) = flags.parse::<u64>("--backoff-cap-ms")? {
         cfg.backoff_cap_ms = n;
     }
-    if let Some(n) = parse_flag::<u64>(args, "--recv-timeout-ms")? {
+    if let Some(n) = flags.parse::<u64>("--recv-timeout-ms")? {
         cfg.recv_timeout_ms = n;
     }
-    cfg.health_interval_ms = match flag_value(args, "--health-interval-ms") {
+    cfg.health_interval_ms = match flags.value("--health-interval-ms") {
         None => cfg.health_interval_ms,
         Some("off") => None,
         Some(raw) => Some(

@@ -6,67 +6,48 @@ use std::time::Duration;
 use localwm_serve::{Client, Request, RequestKind, ServeConfig};
 use serde::Value;
 
+use crate::commands::{parse_args, usage, Grammar};
+
 type CliResult = Result<(), String>;
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("bad value for {flag}: `{raw}`")),
-    }
-}
-
-const SERVE_USAGE: &str = "usage: localwm serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
-                     [--cache-cap N] [--default-timeout-ms N]
-                     [--session-idle-ms N] [--metrics-out FILE]
-                     [--store-dir DIR]";
 
 /// `localwm serve [--addr A] [--workers N] [--queue-depth N] [--cache-cap N]
 /// [--default-timeout-ms N] [--session-idle-ms N] [--metrics-out FILE]
 /// [--store-dir DIR]`
 pub fn serve(args: &[String]) -> CliResult {
-    let flags = [
-        "--addr",
-        "--workers",
-        "--queue-depth",
-        "--cache-cap",
-        "--default-timeout-ms",
-        "--session-idle-ms",
-        "--metrics-out",
-        "--store-dir",
-    ];
-    if crate::commands::check_flags(args, &flags, SERVE_USAGE)? {
-        println!("{SERVE_USAGE}");
+    let grammar = Grammar {
+        values: &[
+            "--addr",
+            "--workers",
+            "--queue-depth",
+            "--cache-cap",
+            "--default-timeout-ms",
+            "--session-idle-ms",
+            "--metrics-out",
+            "--store-dir",
+        ],
+        switches: &[],
+        positionals: 0,
+    };
+    let Some(flags) = parse_args("serve", args, &grammar)? else {
         return Ok(());
-    }
+    };
     let mut cfg = ServeConfig {
-        addr: flag_value(args, "--addr")
-            .unwrap_or("127.0.0.1:7171")
-            .to_owned(),
+        addr: flags.value("--addr").unwrap_or("127.0.0.1:7171").to_owned(),
         ..ServeConfig::default()
     };
-    if let Some(n) = parse_flag::<usize>(args, "--workers")? {
+    if let Some(n) = flags.parse::<usize>("--workers")? {
         cfg.workers = n;
     }
-    if let Some(n) = parse_flag::<usize>(args, "--queue-depth")? {
+    if let Some(n) = flags.parse::<usize>("--queue-depth")? {
         cfg.queue_depth = n;
     }
-    if let Some(n) = parse_flag::<usize>(args, "--cache-cap")? {
+    if let Some(n) = flags.parse::<usize>("--cache-cap")? {
         cfg.cache_cap = n;
     }
-    cfg.default_timeout_ms = parse_flag::<u64>(args, "--default-timeout-ms")?;
-    cfg.session_idle_ms = parse_flag::<u64>(args, "--session-idle-ms")?;
-    cfg.metrics_out = flag_value(args, "--metrics-out").map(str::to_owned);
-    cfg.store_dir = flag_value(args, "--store-dir").map(str::to_owned);
+    cfg.default_timeout_ms = flags.parse::<u64>("--default-timeout-ms")?;
+    cfg.session_idle_ms = flags.parse::<u64>("--session-idle-ms")?;
+    cfg.metrics_out = flags.value("--metrics-out").map(str::to_owned);
+    cfg.store_dir = flags.value("--store-dir").map(str::to_owned);
 
     let handle = localwm_serve::start(cfg).map_err(|e| format!("bind failed: {e}"))?;
     println!("localwm-serve listening on {}", handle.addr());
@@ -95,43 +76,69 @@ pub fn request(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--edit-trace") {
         return replay_edit_trace(args);
     }
-    let kind_raw = args.first().map(String::as_str).ok_or(
-        "usage: localwm request <embed|detect|analyze|timing|attack|strength|open|mutate|close|stats|cluster_stats|shutdown> ...",
-    )?;
+    let grammar = Grammar {
+        values: &[
+            "--addr",
+            "--id",
+            "--design",
+            "--author",
+            "--schedule",
+            "--schedule-out",
+            "--session",
+            "--edits",
+            "--fraction",
+            "--k",
+            "--deadline",
+            "--lo",
+            "--hi",
+            "--samples",
+            "--seed",
+            "--attack",
+            "--budget",
+            "--budgets",
+            "--timeout-ms",
+            "--repeat",
+        ],
+        switches: &["--binary"],
+        positionals: 1,
+    };
+    let Some(flags) = parse_args("request", args, &grammar)? else {
+        return Ok(());
+    };
+    let kind_raw = *flags.positionals.first().ok_or_else(|| usage("request"))?;
     let kind =
         RequestKind::parse(kind_raw).ok_or_else(|| format!("unknown request kind `{kind_raw}`"))?;
-    let args = &args[1..];
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7171");
+    let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171");
 
     let mut req = Request::new(kind);
-    req.id = parse_flag::<u64>(args, "--id")?;
-    if let Some(path) = flag_value(args, "--design") {
+    req.id = flags.parse::<u64>("--id")?;
+    if let Some(path) = flags.value("--design") {
         req.design = Some(fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?);
     }
-    req.author = flag_value(args, "--author").map(str::to_owned);
-    if let Some(path) = flag_value(args, "--schedule") {
+    req.author = flags.value("--author").map(str::to_owned);
+    if let Some(path) = flags.value("--schedule") {
         req.schedule = Some(fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?);
     }
-    req.session = flag_value(args, "--session").map(str::to_owned);
-    if let Some(path) = flag_value(args, "--edits") {
+    req.session = flags.value("--session").map(str::to_owned);
+    if let Some(path) = flags.value("--edits") {
         req.edits = Some(fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?);
     }
-    req.fraction = parse_flag::<f64>(args, "--fraction")?;
-    req.k = parse_flag::<usize>(args, "--k")?;
-    req.deadline = parse_flag::<u32>(args, "--deadline")?;
-    req.lo = parse_flag::<u64>(args, "--lo")?;
-    req.hi = parse_flag::<u64>(args, "--hi")?;
-    req.samples = parse_flag::<usize>(args, "--samples")?;
-    req.seed = parse_flag::<u64>(args, "--seed")?;
-    req.attack = flag_value(args, "--attack").map(str::to_owned);
-    req.budget = parse_flag::<f64>(args, "--budget")?;
-    req.budgets = flag_value(args, "--budgets").map(str::to_owned);
-    req.timeout_ms = parse_flag::<u64>(args, "--timeout-ms")?;
+    req.fraction = flags.parse::<f64>("--fraction")?;
+    req.k = flags.parse::<usize>("--k")?;
+    req.deadline = flags.parse::<u32>("--deadline")?;
+    req.lo = flags.parse::<u64>("--lo")?;
+    req.hi = flags.parse::<u64>("--hi")?;
+    req.samples = flags.parse::<usize>("--samples")?;
+    req.seed = flags.parse::<u64>("--seed")?;
+    req.attack = flags.value("--attack").map(str::to_owned);
+    req.budget = flags.parse::<f64>("--budget")?;
+    req.budgets = flags.value("--budgets").map(str::to_owned);
+    req.timeout_ms = flags.parse::<u64>("--timeout-ms")?;
 
-    let repeat = parse_flag::<usize>(args, "--repeat")?.unwrap_or(1).max(1);
+    let repeat = flags.parse::<usize>("--repeat")?.unwrap_or(1).max(1);
 
     let wait = Duration::from_secs(5);
-    let mut client = if args.iter().any(|a| a == "--binary") {
+    let mut client = if flags.has("--binary") {
         Client::connect_binary_within(addr, wait)
     } else {
         Client::connect_within(addr, wait)
@@ -141,7 +148,7 @@ pub fn request(args: &[String]) -> CliResult {
         .call_repeated(&req, repeat)
         .map_err(|e| format!("request failed: {e}"))?;
 
-    if let Some(out) = flag_value(args, "--schedule-out") {
+    if let Some(out) = flags.value("--schedule-out") {
         match resp.result_field("schedule") {
             Some(Value::Str(text)) => {
                 fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
@@ -181,14 +188,26 @@ pub fn request(args: &[String]) -> CliResult {
 /// included — a failed edit line leaves the session on its last good
 /// state), then a summary from the `close` acknowledgement.
 fn replay_edit_trace(args: &[String]) -> CliResult {
-    let path = flag_value(args, "--edit-trace").ok_or("--edit-trace needs a file path")?;
+    let grammar = Grammar {
+        values: &["--edit-trace", "--design", "--session", "--addr"],
+        switches: &[],
+        positionals: 0,
+    };
+    let Some(flags) = parse_args("request", args, &grammar)? else {
+        return Ok(());
+    };
+    let path = flags
+        .value("--edit-trace")
+        .ok_or("--edit-trace needs a file path")?;
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let steps = localwm_testkit::trace::parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-    let design_path = flag_value(args, "--design").ok_or("--edit-trace needs --design FILE")?;
+    let design_path = flags
+        .value("--design")
+        .ok_or("--edit-trace needs --design FILE")?;
     let design =
         fs::read_to_string(design_path).map_err(|e| format!("reading {design_path}: {e}"))?;
-    let session = flag_value(args, "--session").unwrap_or("cli-trace");
-    let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7171");
+    let session = flags.value("--session").unwrap_or("cli-trace");
+    let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171");
 
     let mut client = Client::connect_within(addr, Duration::from_secs(5))
         .map_err(|e| format!("connecting to {addr}: {e}"))?;

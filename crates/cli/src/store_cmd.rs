@@ -20,21 +20,37 @@ use std::fs;
 use localwm_cdfg::{write_cdfg, Cdfg};
 use localwm_store::{DesignStore, RecordKind};
 
-use crate::commands::flag_value;
+use crate::commands::{parse_args, usage, Grammar};
 
 type CliResult = Result<(), String>;
 
 /// Dispatches `localwm store <ls|get|verify|compact>`.
 pub fn store(args: &[String]) -> CliResult {
-    let action = args.first().map(String::as_str).ok_or(
-        "usage: localwm store <ls|get HASH|verify|compact> --dir DIR (try `localwm help`)",
-    )?;
-    let rest = &args[1..];
-    let dir = flag_value(rest, "--dir").ok_or("store: missing --dir DIR")?;
+    let grammar = Grammar {
+        values: &["--dir", "-o"],
+        switches: &[],
+        positionals: 2,
+    };
+    let Some(flags) = parse_args("store", args, &grammar)? else {
+        return Ok(());
+    };
+    let action = *flags.positionals.first().ok_or_else(|| usage("store"))?;
+    // Only `get` takes a second positional, the record key.
+    match flags.positionals.get(1) {
+        Some(extra) if action != "get" => {
+            return Err(format!("unexpected argument `{extra}`\n{}", usage("store")));
+        }
+        _ => {}
+    }
+    let dir = flags.value("--dir").ok_or("store: missing --dir DIR")?;
     let open = || DesignStore::open(dir).map_err(|e| format!("opening store at {dir}: {e}"));
     match action {
         "ls" => ls(&open()?),
-        "get" => get(&open()?, rest),
+        "get" => get(
+            &open()?,
+            flags.positionals.get(1).copied(),
+            flags.value("-o"),
+        ),
         "verify" => verify(dir),
         "compact" => compact(&open()?),
         other => Err(format!(
@@ -80,26 +96,8 @@ fn ls(store: &DesignStore) -> CliResult {
     Ok(())
 }
 
-fn get(store: &DesignStore, args: &[String]) -> CliResult {
-    // The record key is the first token that is neither a flag nor a
-    // flag's value (`store get <hash> --dir DIR` and
-    // `store get --dir DIR <hash>` both work).
-    let mut skip_value = false;
-    let raw = args
-        .iter()
-        .find(|a| {
-            if skip_value {
-                skip_value = false;
-                return false;
-            }
-            if a.starts_with('-') {
-                skip_value = true;
-                return false;
-            }
-            true
-        })
-        .map(String::as_str)
-        .ok_or("store get: missing record key (see `localwm store ls`)")?;
+fn get(store: &DesignStore, raw: Option<&str>, out: Option<&str>) -> CliResult {
+    let raw = raw.ok_or("store get: missing record key (see `localwm store ls`)")?;
     let key = parse_key(raw)?;
     let payload = store
         .get(RecordKind::Design, key)
@@ -107,7 +105,7 @@ fn get(store: &DesignStore, args: &[String]) -> CliResult {
         .ok_or_else(|| format!("no design record with key {key:016x}"))?;
     let graph = Cdfg::from_snapshot(&payload).map_err(|e| format!("record {key:016x}: {e}"))?;
     let text = write_cdfg(&graph);
-    match flag_value(args, "-o") {
+    match out {
         Some(out) => {
             fs::write(out, &text).map_err(|e| format!("writing {out}: {e}"))?;
             println!("wrote design {key:016x} to {out}");

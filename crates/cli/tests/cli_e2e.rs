@@ -659,3 +659,59 @@ fn serve_and_gateway_validate_their_flags() {
         }
     }
 }
+
+/// Every subcommand checks its arguments before doing any work: `--help`
+/// prints its usage and exits 0, while an unknown flag, one positional
+/// argument too many or a value flag without its value exits 1 with that
+/// usage on stderr and nothing on stdout.
+#[test]
+fn every_subcommand_validates_its_flags() {
+    // Each subcommand with one of its value flags and how many positional
+    // arguments it takes.
+    for (cmd, value_flag, positionals) in [
+        ("gen", Some("--seed"), 1),
+        ("info", None, 1),
+        ("dot", None, 1),
+        ("embed", Some("--author"), 1),
+        ("detect", Some("--author"), 2),
+        ("attack", Some("--budget"), 1),
+        ("strength", Some("--budgets"), 1),
+        ("schedule", Some("--steps"), 1),
+        ("simulate", Some("--seed"), 1),
+        ("analyze", Some("--samples"), 1),
+        ("serve", Some("--addr"), 0),
+        ("gateway", Some("--backends"), 0),
+        ("request", Some("--addr"), 1),
+        ("store", Some("--dir"), 2),
+        ("chaos", Some("--seed"), 0),
+    ] {
+        let usage = format!("usage: localwm {cmd}");
+        let (status, stdout, _) = run_bounded(&[cmd, "--help"]);
+        assert!(status.success(), "`{cmd} --help` exits 0");
+        assert!(
+            stdout.contains(&usage),
+            "`{cmd} --help` prints usage: {stdout}"
+        );
+        let mut bad = vec![vec![cmd, "--no-such-flag"]];
+        let mut stray = vec![cmd];
+        stray.resize(positionals + 2, "stray");
+        bad.push(stray);
+        if let Some(flag) = value_flag {
+            bad.push(vec![cmd, flag]);
+        }
+        for args in bad {
+            let (status, stdout, stderr) = run_bounded(&args);
+            assert_eq!(status.code(), Some(1), "`{}` must fail", args.join(" "));
+            assert!(
+                stdout.is_empty(),
+                "`{}` must do no work: {stdout}",
+                args.join(" ")
+            );
+            assert!(
+                stderr.contains(&usage),
+                "`{}` prints usage: {stderr}",
+                args.join(" ")
+            );
+        }
+    }
+}

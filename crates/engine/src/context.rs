@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use localwm_cdfg::{analysis, Cdfg, CdfgError, Csr, EdgeId, NodeId, TopoError};
 
 use crate::bounded::{bounded_arrival_with_csr, possibly_critical_with_csr, BoundedArrival};
-use crate::delay::{DelayBounds, DelayInterval};
+use crate::delay::{checked_hi_sum, DelayBounds, DelayInterval, KindBounds};
 use crate::editor::{DesignEditor, EditLog, EditRecord};
 use crate::probe::{NoopProbe, Probe};
 use crate::unit::{cone_positions, UnitTiming};
@@ -83,6 +83,46 @@ impl WindowTable {
     }
 }
 
+/// A delay model's per-node intervals over one graph, with the cache key
+/// and the path-sum bound every consumer derives from them.
+///
+/// Produced by [`DesignContext::resolved_bounds`]; memoized there for
+/// models that name their parameters ([`DelayBounds::kind_bounds`]).
+#[derive(Debug)]
+pub struct ResolvedBounds {
+    intervals: Vec<DelayInterval>,
+    key: OnceLock<u64>,
+    hi_sum: Option<u64>,
+}
+
+impl ResolvedBounds {
+    fn new(intervals: Vec<DelayInterval>) -> Self {
+        ResolvedBounds {
+            key: OnceLock::new(),
+            hi_sum: checked_hi_sum(intervals.iter().copied()),
+            intervals,
+        }
+    }
+
+    /// Every node's interval, in node-id order.
+    pub fn intervals(&self) -> &[DelayInterval] {
+        &self.intervals
+    }
+
+    /// The fingerprint of the intervals: models that assign the same
+    /// intervals share it, and the arrival and possibly-critical caches
+    /// are keyed by it. Hashed on first use.
+    pub fn key(&self) -> u64 {
+        *self.key.get_or_init(|| fingerprint(&self.intervals))
+    }
+
+    /// Σ of every node's `hi`, or `None` when it overflows `u64`
+    /// ([`checked_hi_sum`]).
+    pub fn hi_sum(&self) -> Option<u64> {
+        self.hi_sum
+    }
+}
+
 /// Fanin-cone cache keyed by `(root, max_dist)`.
 type FaninCache = HashMap<(NodeId, u32), Arc<Vec<NodeId>>>;
 
@@ -108,6 +148,10 @@ const DIRTY_HISTORY_CAP: usize = 64;
 
 /// Displaced bounded-arrival results kept for patching (newest win).
 const STALE_BOUNDED_CAP: usize = 8;
+
+/// Resolved per-kind models kept per context (newest win); each holds one
+/// interval per node.
+const RESOLVED_CAP: usize = 8;
 
 /// The touched-node set of one `mutate` batch.
 struct DirtyEvent {
@@ -151,6 +195,7 @@ struct Caches {
     bounded: Mutex<HashMap<u64, Arc<BoundedArrival>>>,
     stale_bounded: Mutex<Vec<StaleArrival>>,
     possibly: Mutex<HashMap<u64, Arc<Vec<NodeId>>>>,
+    resolved: Mutex<Vec<(KindBounds, Arc<ResolvedBounds>)>>,
     content: OnceLock<u64>,
 }
 
@@ -498,7 +543,9 @@ impl DesignContext {
     ///
     /// Models are identified by a fingerprint of their per-node intervals,
     /// so distinct model values that induce the same bounds share one cache
-    /// entry. A miss first probes the stale store: a result displaced by
+    /// entry. A model that names its parameters takes the fingerprint from
+    /// [`DesignContext::resolved_bounds`]'s memo, so a hit does not walk the
+    /// graph. A miss first probes the stale store: a result displaced by
     /// recent mutations whose surviving-node bounds are provably unchanged
     /// (prefix fingerprint match) is **patched** — only the dirty fan-out
     /// cone is re-swept, seeded with the cached frontier values — instead
@@ -509,7 +556,13 @@ impl DesignContext {
     ///
     /// Panics if the graph is cyclic.
     pub fn bounded_arrival<M: DelayBounds + ?Sized>(&self, model: &M) -> Arc<BoundedArrival> {
-        let key = self.model_fingerprint(model);
+        let r = self.resolved_bounds(model);
+        self.bounded_arrival_keyed(r.key(), r.intervals())
+    }
+
+    /// [`DesignContext::bounded_arrival`] for the intervals `bounds`, whose
+    /// fingerprint is `key`.
+    fn bounded_arrival_keyed(&self, key: u64, bounds: &[DelayInterval]) -> Arc<BoundedArrival> {
         {
             let cache = self.caches.bounded.lock().expect("bounded cache lock");
             if let Some(a) = cache.get(&key) {
@@ -517,20 +570,12 @@ impl DesignContext {
                 return Arc::clone(a);
             }
         }
-        // Miss: materialize the per-node bounds once for the patch probe
-        // and the from-scratch sweep. (The hit path above never allocates
-        // — the fingerprint streams over the model.)
-        let bounds: Vec<DelayInterval> = self
-            .graph
-            .node_ids()
-            .map(|n| model.bounds(&self.graph, n))
-            .collect();
         let mut cache = self.caches.bounded.lock().expect("bounded cache lock");
         if let Some(a) = cache.get(&key) {
             self.probe.counter("engine.bounded.hit", 1);
             return Arc::clone(a);
         }
-        if let Some(patched) = self.patch_stale_bounded(&bounds) {
+        if let Some(patched) = self.patch_stale_bounded(bounds, key) {
             self.probe.counter("engine.bounded.patch", 1);
             let arr = Arc::new(patched);
             cache.insert(key, Arc::clone(&arr));
@@ -539,15 +584,16 @@ impl DesignContext {
         self.probe.counter("engine.bounded.miss", 1);
         let order = self.topo();
         let (preds, _) = self.csr_pair();
-        let arr = Arc::new(bounded_arrival_with_csr(order, preds, &bounds));
+        let arr = Arc::new(bounded_arrival_with_csr(order, preds, bounds));
         cache.insert(key, Arc::clone(&arr));
         arr
     }
 
     /// Tries to derive the arrival analysis for `bounds` by patching a
     /// stale entry: re-sweep only the dirty forward cone on top of the
-    /// cached finish values. Newest entries are probed first.
-    fn patch_stale_bounded(&self, bounds: &[DelayInterval]) -> Option<BoundedArrival> {
+    /// cached finish values. Newest entries are probed first. `key` is
+    /// the fingerprint of all of `bounds`.
+    fn patch_stale_bounded(&self, bounds: &[DelayInterval], key: u64) -> Option<BoundedArrival> {
         let order = match self.try_topo() {
             Ok(o) => o,
             Err(_) => return None,
@@ -564,7 +610,12 @@ impl DesignContext {
             // append-only). Structure-sensitive models (DynamicBounds) fail
             // this check after an edge edit and fall through to a full
             // recompute — exactly right, their intervals moved.
-            if entry.len > bounds.len() || fingerprint(&bounds[..entry.len]) != entry.key {
+            let prefix_key = match entry.len.cmp(&bounds.len()) {
+                std::cmp::Ordering::Equal => key,
+                std::cmp::Ordering::Less => fingerprint(&bounds[..entry.len]),
+                std::cmp::Ordering::Greater => continue,
+            };
+            if prefix_key != entry.key {
                 continue;
             }
             let Some(mut seeds) = self.dirty_since(entry.generation) else {
@@ -635,7 +686,13 @@ impl DesignContext {
     ///
     /// Panics if the graph is cyclic.
     pub fn possibly_critical_shared<M: DelayBounds + ?Sized>(&self, model: &M) -> Arc<Vec<NodeId>> {
-        let key = self.model_fingerprint(model);
+        let r = self.resolved_bounds(model);
+        self.possibly_critical_keyed(r.key(), r.intervals())
+    }
+
+    /// [`DesignContext::possibly_critical_shared`] for the intervals
+    /// `bounds`, whose fingerprint is `key`.
+    fn possibly_critical_keyed(&self, key: u64, bounds: &[DelayInterval]) -> Arc<Vec<NodeId>> {
         {
             let cache = self.caches.possibly.lock().expect("possibly cache lock");
             if let Some(set) = cache.get(&key) {
@@ -644,18 +701,13 @@ impl DesignContext {
             }
         }
         self.probe.counter("engine.possibly.miss", 1);
-        let arr = self.bounded_arrival(model);
-        let bounds: Vec<DelayInterval> = self
-            .graph
-            .node_ids()
-            .map(|n| model.bounds(&self.graph, n))
-            .collect();
+        let arr = self.bounded_arrival_keyed(key, bounds);
         let (preds, succs) = self.csr_pair();
         let set = Arc::new(possibly_critical_with_csr(
             self.topo(),
             preds,
             succs,
-            &bounds,
+            bounds,
             &arr,
         ));
         self.caches
@@ -666,24 +718,41 @@ impl DesignContext {
         set
     }
 
-    /// The bounds fingerprint [`fingerprint`] would produce for `model`'s
-    /// per-node intervals, computed by streaming over the graph instead of
-    /// materializing the interval vector. Cache keys for the arrival and
-    /// possibly-critical caches come from here on their hit paths.
-    fn model_fingerprint<M: DelayBounds + ?Sized>(&self, model: &M) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for n in self.graph.node_ids() {
-            let i = model.bounds(&self.graph, n);
-            mix(i.lo);
-            mix(i.hi);
+    /// `model`'s per-node intervals over the current graph, with their
+    /// fingerprint and hi-sum.
+    ///
+    /// A model that names its parameters ([`DelayBounds::kind_bounds`]) is
+    /// resolved once and memoized, keyed by those parameters: a repeat
+    /// query neither walks the graph nor hashes. Per-kind intervals depend
+    /// on node kinds alone, so the memo survives every edit that adds no
+    /// node. Any other model is resolved afresh on each call.
+    pub fn resolved_bounds<M: DelayBounds + ?Sized>(&self, model: &M) -> Arc<ResolvedBounds> {
+        match model.kind_bounds() {
+            Some(params) => self.memoized_bounds(params),
+            None => Arc::new(ResolvedBounds::new(self.materialize(model))),
         }
-        h
+    }
+
+    fn memoized_bounds(&self, params: &KindBounds) -> Arc<ResolvedBounds> {
+        let mut memo = self.caches.resolved.lock().expect("resolved bounds lock");
+        if let Some((_, r)) = memo.iter().find(|(m, _)| m == params) {
+            return Arc::clone(r);
+        }
+        self.probe.counter("engine.bounds.resolve", 1);
+        let r = Arc::new(ResolvedBounds::new(self.materialize(params)));
+        if memo.len() == RESOLVED_CAP {
+            memo.remove(0);
+        }
+        memo.push((params.clone(), Arc::clone(&r)));
+        r
+    }
+
+    /// Every node's interval under `model`, in node-id order.
+    fn materialize<M: DelayBounds + ?Sized>(&self, model: &M) -> Vec<DelayInterval> {
+        self.graph
+            .node_ids()
+            .map(|n| model.bounds(&self.graph, n))
+            .collect()
     }
 
     /// A stable content hash of the design: FNV-1a over the canonical
@@ -712,9 +781,9 @@ impl DesignContext {
     /// * keeps the memoized topological order when no added edge
     ///   contradicts it (new nodes append at the tail), patching the CSR
     ///   views row-wise instead of rebuilding them;
-    /// * recomputes unit depth/tail only over the dirty fan-out/fan-in
-    ///   cones ([`UnitTiming::cone_update`]), falling back to a lazy full
-    ///   rebuild past [`DesignContext::cone_limit`];
+    /// * re-derives unit depth/tail only where a value changes, walking
+    ///   out from the dirty nodes ([`UnitTiming::cone_update`]), falling
+    ///   back to a lazy full rebuild past [`DesignContext::cone_limit`];
     /// * moves bounded-arrival results into a stale store from which later
     ///   queries patch just the dirty cone (see
     ///   [`DesignContext::bounded_arrival`]);
@@ -810,6 +879,14 @@ impl DesignContext {
             .get_mut()
             .expect("possibly lock")
             .clear();
+        // Per-kind intervals move only when a node arrives.
+        if self.graph.node_count() != old_len {
+            self.caches
+                .resolved
+                .get_mut()
+                .expect("resolved bounds lock")
+                .clear();
+        }
         let _ = self.caches.content.take();
 
         let topo_cached = self.caches.topo.take();
@@ -1021,6 +1098,60 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(probe.counter_value("engine.bounded.miss"), 1);
         assert_eq!(probe.counter_value("engine.bounded.hit"), 1);
+    }
+
+    #[test]
+    fn per_kind_models_resolve_once_and_survive_edge_edits() {
+        let probe = Arc::new(crate::RecordingProbe::new());
+        let mut ctx = DesignContext::new(iir4_parallel()).with_probe(probe.clone());
+        let model = KindBounds::uniform(1, 3).with(OpKind::Mul, DelayInterval::new(2, 5));
+        let direct = |ctx: &DesignContext| -> Vec<DelayInterval> {
+            ctx.node_ids()
+                .map(|n| model.bounds(ctx.graph(), n))
+                .collect()
+        };
+        let first = ctx.resolved_bounds(&model);
+        assert_eq!(first.intervals(), direct(&ctx).as_slice());
+        assert_eq!(first.key(), fingerprint(first.intervals()));
+        assert_eq!(first.hi_sum(), checked_hi_sum(direct(&ctx)));
+        // Repeat queries, through every consumer, resolve nothing again.
+        let _ = ctx.bounded_critical_path(&model);
+        let _ = ctx.possibly_critical_shared(&model);
+        assert!(Arc::ptr_eq(&first, &ctx.resolved_bounds(&model)));
+        assert_eq!(probe.counter_value("engine.bounds.resolve"), 1);
+
+        // An edge edit keeps every node's kind: the memo survives.
+        ctx.add_temporal_edge(
+            ctx.node_by_name("A2").unwrap(),
+            ctx.node_by_name("C7").unwrap(),
+        )
+        .unwrap();
+        assert!(Arc::ptr_eq(&first, &ctx.resolved_bounds(&model)));
+        assert_eq!(
+            ctx.bounded_critical_path(&model),
+            crate::bounded_critical_path(ctx.graph(), &model)
+        );
+        assert_eq!(probe.counter_value("engine.bounds.resolve"), 1);
+
+        // A new node needs its interval: the next query resolves afresh.
+        ctx.mutate(|g| {
+            let a9 = g.node_by_name("A9").unwrap();
+            let m = g.add_node(OpKind::Mul);
+            g.add_data_edge(a9, m).unwrap();
+        });
+        let grown = ctx.resolved_bounds(&model);
+        assert_eq!(grown.intervals(), direct(&ctx).as_slice());
+        assert_eq!(probe.counter_value("engine.bounds.resolve"), 2);
+        assert_eq!(
+            ctx.bounded_critical_path(&model),
+            crate::bounded_critical_path(ctx.graph(), &model)
+        );
+
+        // A model that cannot name its parameters is resolved per call.
+        let dynamic = crate::DynamicBounds::new(model.clone(), 1);
+        let a = ctx.resolved_bounds(&dynamic);
+        assert!(!Arc::ptr_eq(&a, &ctx.resolved_bounds(&dynamic)));
+        assert_eq!(probe.counter_value("engine.bounds.resolve"), 2);
     }
 
     #[test]

@@ -64,6 +64,16 @@ pub fn checked_hi_sum(bounds: impl IntoIterator<Item = DelayInterval>) -> Option
 pub trait DelayBounds {
     /// Delay interval of node `n` in graph `g`.
     fn bounds(&self, g: &Cdfg, n: NodeId) -> DelayInterval;
+
+    /// This model as plain per-kind intervals, when it is one. Such a
+    /// model's intervals depend on node kinds alone, so a
+    /// [`DesignContext`](crate::DesignContext) resolves them once, keys
+    /// the result by the model itself, and keeps it across edits that add
+    /// no node. The default, `None`, has the context re-derive and re-hash
+    /// the model's intervals on every query.
+    fn kind_bounds(&self) -> Option<&KindBounds> {
+        None
+    }
 }
 
 /// Per-operation-kind static delay intervals.
@@ -80,7 +90,7 @@ pub trait DelayBounds {
 /// let model = KindBounds::unit()
 ///     .with(OpKind::Mul, DelayInterval::new(2, 3));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KindBounds {
     default_sched: DelayInterval,
     overrides: Vec<(OpKind, DelayInterval)>,
@@ -123,6 +133,10 @@ impl DelayBounds for KindBounds {
             .find(|(k, _)| *k == kind)
             .map(|&(_, i)| i)
             .unwrap_or(self.default_sched)
+    }
+
+    fn kind_bounds(&self) -> Option<&KindBounds> {
+        Some(self)
     }
 }
 

@@ -56,7 +56,7 @@ pub use bounded::{
     bounded_arrival, bounded_arrival_with_csr, bounded_arrival_with_order, bounded_critical_path,
     possibly_critical, possibly_critical_with_arrival, possibly_critical_with_csr, BoundedArrival,
 };
-pub use context::{DesignContext, EngineError, WindowTable};
+pub use context::{DesignContext, EngineError, ResolvedBounds, WindowTable};
 pub use delay::{checked_hi_sum, DelayBounds, DelayInterval, DynamicBounds, KindBounds};
 pub use editor::DesignEditor;
 pub use par::{par_map, Parallelism};

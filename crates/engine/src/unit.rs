@@ -1,5 +1,8 @@
 //! Unit-delay (control-step) timing.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use localwm_cdfg::{Cdfg, Csr, NodeId};
 
 /// Control-step timing of a CDFG under the homogeneous SDF model: every
@@ -209,22 +212,24 @@ impl UnitTiming {
         }
     }
 
-    /// Recomputes exactly the fan-out/fan-in cones of `seeds` after an
-    /// arbitrary batch of structural edits (node adds, edge adds *and*
-    /// removals — unlike the monotone [`UnitTiming::add_edge_update`],
-    /// values may decrease).
+    /// Re-derives depths and tails after an arbitrary batch of structural
+    /// edits (node adds, edge adds *and* removals — unlike the monotone
+    /// [`UnitTiming::add_edge_update`], values may decrease), starting at
+    /// `seeds`, the nodes the edits touched.
     ///
     /// `order`, `preds` and `succs` must reflect the **post-edit** graph
     /// (the context patches its CSR views first); new nodes must sit at the
-    /// tail of `order` in id order. Returns `false` without touching `self`
-    /// beyond array growth when either cone exceeds `limit` nodes — the
-    /// caller then falls back to a full rebuild.
+    /// tail of `order` in id order. Returns `false` once either worklist
+    /// has re-derived more than `limit` nodes; `self` is then part-updated
+    /// and the caller must discard it and rebuild.
     ///
-    /// Exact by construction: a node outside the forward cone has an
-    /// unchanged predecessor set and unchanged predecessor depths, so its
-    /// depth is unchanged; cone nodes are recomputed in ascending topo
-    /// position from already-final values (symmetrically for tails), which
-    /// is precisely what [`UnitTiming::with_csr`] would compute.
+    /// Value-driven and exact: a node's depth is a function of its
+    /// predecessors' depths, so only a node whose predecessor *changed*
+    /// (or a seed, whose predecessor set did) can change. Depths are
+    /// re-derived in ascending topo position from a worklist that a
+    /// re-derive feeds with its successors only when its value moved, so
+    /// every depth it reads is already final — precisely what
+    /// [`UnitTiming::with_csr`] would compute (symmetrically for tails).
     pub fn cone_update(
         &mut self,
         g: &Cdfg,
@@ -243,31 +248,89 @@ impl UnitTiming {
                     .push(g.kind(NodeId::from_index(i)).is_schedulable());
             }
         }
-        let Some(fwd) = cone_positions(preds, succs, seeds, limit, false) else {
-            return false;
-        };
-        let Some(bwd) = cone_positions(preds, succs, seeds, limit, true) else {
-            return false;
-        };
-        for &p in &fwd {
-            let u = order[p];
-            let mut best = 0;
-            for &pi in preds.row(p) {
-                best = best.max(self.depth[pi as usize]);
+        let mut queued = vec![false; n];
+        let mut popped = 0usize;
+        let mut rescan = false;
+        let mut fwd: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(seeds.len());
+        for &s in seeds {
+            let p = preds.position(s);
+            if !queued[p] {
+                queued[p] = true;
+                fwd.push(Reverse(p));
             }
-            self.depth[u.index()] = best + u32::from(self.schedulable[u.index()]);
         }
-        for &p in bwd.iter().rev() {
-            let u = order[p];
-            let mut best = 0;
+        while let Some(Reverse(p)) = fwd.pop() {
+            popped += 1;
+            if popped > limit {
+                return false;
+            }
+            queued[p] = false;
+            let u = order[p].index();
+            let best = preds
+                .row(p)
+                .iter()
+                .map(|&pi| self.depth[pi as usize])
+                .max()
+                .unwrap_or(0);
+            let depth = best + u32::from(self.schedulable[u]);
+            let old = self.depth[u];
+            if depth == old {
+                continue;
+            }
+            // The critical path is the maximum depth: a depth above it
+            // raises it, and one that held it and dropped forces a rescan.
+            if depth > self.critical_path {
+                self.critical_path = depth;
+            } else if old == self.critical_path && depth < old {
+                rescan = true;
+            }
+            self.depth[u] = depth;
             for &si in succs.row(p) {
-                best = best.max(self.tail[si as usize]);
+                let sp = succs.position(NodeId::from_index(si as usize));
+                if !queued[sp] {
+                    queued[sp] = true;
+                    fwd.push(Reverse(sp));
+                }
             }
-            self.tail[u.index()] = best + u32::from(self.schedulable[u.index()]);
         }
-        // Depths may have shrunk, so the critical path is rescanned, not
-        // max-merged.
-        self.critical_path = self.depth.iter().copied().max().unwrap_or(0);
+        if rescan {
+            self.critical_path = self.depth.iter().copied().max().unwrap_or(0);
+        }
+        popped = 0;
+        let mut bwd: BinaryHeap<usize> = BinaryHeap::with_capacity(seeds.len());
+        for &s in seeds {
+            let p = preds.position(s);
+            if !queued[p] {
+                queued[p] = true;
+                bwd.push(p);
+            }
+        }
+        while let Some(p) = bwd.pop() {
+            popped += 1;
+            if popped > limit {
+                return false;
+            }
+            queued[p] = false;
+            let u = order[p].index();
+            let best = succs
+                .row(p)
+                .iter()
+                .map(|&si| self.tail[si as usize])
+                .max()
+                .unwrap_or(0);
+            let tail = best + u32::from(self.schedulable[u]);
+            if tail == self.tail[u] {
+                continue;
+            }
+            self.tail[u] = tail;
+            for &pi in preds.row(p) {
+                let pp = preds.position(NodeId::from_index(pi as usize));
+                if !queued[pp] {
+                    queued[pp] = true;
+                    bwd.push(pp);
+                }
+            }
+        }
         true
     }
 }

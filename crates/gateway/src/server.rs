@@ -31,7 +31,7 @@
 //! for-bytes.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,7 +41,8 @@ use std::time::{Duration, Instant};
 use localwm_cdfg::parse_cdfg;
 use localwm_engine::DesignContext;
 use localwm_serve::{
-    ErrorCode, Metrics, Outcome, Request, RequestKind, Response, ServiceError, BINARY_MAGIC,
+    line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Metrics, Outcome, Request,
+    RequestKind, Response, ServiceError, BINARY_MAGIC,
 };
 use localwm_store::binval::{decode_value, read_frame, value_to_bytes, write_frame};
 use serde::{Serialize, Value};
@@ -937,12 +938,10 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     // the magic switches this client to binary frames. The conversion
     // happens entirely at this edge — backend pools keep speaking JSON
     // lines, and both envelopes carry the same value trees.
-    let mut first_line = String::new();
-    let binary = match reader.read_line(&mut first_line) {
-        Ok(n) if n > 0 => first_line.trim() == BINARY_MAGIC,
-        _ => return,
+    let Some(first) = read_line(&mut reader) else {
+        return;
     };
-    if binary {
+    if matches!(&first, Ok(line) if line.trim() == BINARY_MAGIC) {
         shared.binary_conns.fetch_add(1, Ordering::SeqCst);
         binary_conn_loop(shared, &mut reader, &mut write_half);
         return;
@@ -954,45 +953,47 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     // burst is answered in order and written back in one buffered write. A
     // lockstep client degenerates to bursts of one — same bytes, same
     // order, same per-line state machine.
-    let mut head = Some(first_line.trim_end_matches(['\r', '\n']).to_owned());
+    // A line past the cap is answered after the lines before it, and then
+    // the connection closes through `linger_close`.
+    let mut too_long = first.is_err();
+    let mut head = first.ok();
     let mut burst: Vec<String> = Vec::new();
     let mut out_buf: Vec<u8> = Vec::new();
     loop {
         let line = match head.take() {
             Some(line) => line,
-            None => {
-                let mut line = String::new();
-                match reader.read_line(&mut line) {
-                    Ok(n) if n > 0 => {}
-                    _ => break,
+            None if too_long => String::new(),
+            None => match read_line(&mut reader) {
+                Some(Ok(line)) => line,
+                Some(Err(LineRead::TooLong)) => {
+                    too_long = true;
+                    String::new()
                 }
-                while line.ends_with('\n') || line.ends_with('\r') {
-                    line.pop();
-                }
-                line
-            }
+                _ => break,
+            },
         };
-        if line.trim().is_empty() {
-            continue;
-        }
         burst.clear();
-        burst.push(line);
-        while burst.len() < MAX_BURST && reader.buffer().contains(&b'\n') {
-            let mut line = String::new();
-            if reader.read_line(&mut line).is_err() {
-                break;
+        if !line.trim().is_empty() {
+            burst.push(line);
+        }
+        while !too_long && burst.len() < MAX_BURST && reader.buffer().contains(&b'\n') {
+            match read_line(&mut reader) {
+                Some(Ok(line)) if line.trim().is_empty() => {}
+                Some(Ok(line)) => burst.push(line),
+                Some(Err(LineRead::TooLong)) => too_long = true,
+                _ => break,
             }
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            if !line.trim().is_empty() {
-                burst.push(line);
-            }
+        }
+        if burst.is_empty() && !too_long {
+            continue;
         }
         shared
             .json_requests
             .fetch_add(burst.len() as u64, Ordering::SeqCst);
-        let (responses, stop) = answer_burst(shared, &burst);
+        let (mut responses, stop) = answer_burst(shared, &burst);
+        if too_long {
+            responses.push(line_too_long().to_line());
+        }
         out_buf.clear();
         for resp in &responses {
             out_buf.extend_from_slice(resp.as_bytes());
@@ -1006,10 +1007,31 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
             shared.stopped.store(true, Ordering::SeqCst);
             break;
         }
+        if too_long {
+            linger_close(&mut reader);
+            break;
+        }
         if shared.stopped.load(Ordering::SeqCst) {
             break;
         }
     }
+}
+
+/// The next request line without its terminator: `None` at end of stream,
+/// on a read error or on invalid UTF-8 (the connection closes unanswered,
+/// as before the cap), and `Err(LineRead::TooLong)` past the cap.
+fn read_line(reader: &mut io::BufReader<TcpStream>) -> Option<Result<String, LineRead>> {
+    let mut raw = Vec::new();
+    match read_request_line(reader, &mut raw) {
+        Ok(LineRead::Line) => {}
+        Ok(LineRead::TooLong) => return Some(Err(LineRead::TooLong)),
+        Ok(LineRead::Eof) | Err(_) => return None,
+    }
+    let mut line = String::from_utf8(raw).ok()?;
+    while line.ends_with('\n') || line.ends_with('\r') {
+        line.pop();
+    }
+    Some(Ok(line))
 }
 
 /// The binary client edge: frames in, frames out, with each frame's value

@@ -580,3 +580,63 @@ fn a_nesting_bomb_line_is_a_typed_bad_request_not_a_crash() {
     gw.shutdown();
     b0.shutdown();
 }
+
+#[test]
+fn an_over_cap_line_is_answered_then_the_connection_closes() {
+    use std::io::{BufRead, BufReader, Write};
+    let b0 = start_backend();
+    let gw = localwm_gateway::start(fast_config(vec![spec("b0", &b0)], 1)).expect("start gateway");
+
+    // A request the gateway answers, then a line longer than the cap that
+    // the client is still sending when the answers come: the first line is
+    // answered, the second gets a typed bad_request, and the connection
+    // closes cleanly, with every answer delivered before the end of stream.
+    let stream = std::net::TcpStream::connect(gw.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut sender = stream.try_clone().expect("clone");
+    let sending = std::thread::spawn(move || {
+        let mut bytes = b"{\"kind\":\"timing\",\"id\":1}\n".to_vec();
+        bytes.resize(bytes.len() + localwm_serve::MAX_LINE_BYTES + 1, b' ');
+        sender.write_all(&bytes).expect("send the long line");
+        // The tail may meet a closed socket; only the answers matter.
+        for _ in 0..16 {
+            if sender.write_all(&[b' '; 64 << 10]).is_err() {
+                return;
+            }
+        }
+        let _ = sender.write_all(b"{}\n");
+    });
+    let mut reader = BufReader::new(stream);
+    let mut first = String::new();
+    reader.read_line(&mut first).expect("first answer");
+    assert!(
+        first.contains("\"id\":1") && first.contains("missing `design`"),
+        "{first}"
+    );
+    let mut second = String::new();
+    reader.read_line(&mut second).expect("typed answer");
+    let resp = localwm_serve::Response::from_line(second.trim_end()).expect("a response line");
+    let err = resp.error.expect("an error");
+    assert_eq!(err.code, ErrorCode::BadRequest);
+    assert_eq!(
+        err.message,
+        format!(
+            "request line exceeds {} bytes",
+            localwm_serve::MAX_LINE_BYTES
+        )
+    );
+    // Closed cleanly: end of stream, not a reset or a read that times out.
+    let mut rest = String::new();
+    let tail = reader.read_line(&mut rest);
+    assert!(matches!(tail, Ok(0)), "not a clean close: {tail:?} {rest}");
+    sending.join().expect("sender");
+
+    // The gateway survived: a new connection still gets answers.
+    let mut c = connect(&gw);
+    let resp = c.call(&Request::new(RequestKind::Stats)).unwrap();
+    assert!(resp.ok, "{:?}", resp.error);
+    gw.shutdown();
+    b0.shutdown();
+}

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use localwm_attack::{AttackConfig, AttackKind, StrengthConfig};
 use localwm_core::{SchedWmConfig, SchedulingWatermarker, Signature, WatermarkError};
-use localwm_engine::{checked_hi_sum, DelayBounds, DesignContext, KindBounds, Parallelism};
+use localwm_engine::{DesignContext, KindBounds, Parallelism};
 use localwm_sched::{parse_schedule, write_schedule};
 use localwm_timing::criticality_in;
 use serde::{object, Serialize, Value};
@@ -39,7 +39,8 @@ fn design_context(cache: &ContextCache, req: &Request) -> Result<Arc<DesignConte
 /// The request's delay model over the context's graph. Refuses bounds
 /// whose path delays could overflow `u64` — Σ of every node's `hi`, the
 /// same sum the Monte-Carlo kernel picks its row type by — so no analysis
-/// ever runs on them.
+/// ever runs on them. The context memoizes the model's intervals and that
+/// sum, so a repeat check does not walk the graph.
 pub(crate) fn bounds(ctx: &DesignContext, req: &Request) -> Result<KindBounds, ServiceError> {
     let lo = req.lo.unwrap_or(1);
     let hi = req.hi.unwrap_or(3);
@@ -47,11 +48,10 @@ pub(crate) fn bounds(ctx: &DesignContext, req: &Request) -> Result<KindBounds, S
         return Err(bad_request(format!("bad delay bounds: lo {lo} > hi {hi}")));
     }
     let model = KindBounds::uniform(lo, hi);
-    let g = ctx.graph();
-    if checked_hi_sum(g.node_ids().map(|v| model.bounds(g, v))).is_none() {
+    if ctx.resolved_bounds(&model).hi_sum().is_none() {
         return Err(bad_request(format!(
             "bad delay bounds: hi {hi} over {} ops overflows a 64-bit path delay",
-            g.op_count()
+            ctx.graph().op_count()
         )));
     }
     Ok(model)
@@ -229,16 +229,10 @@ pub(crate) fn analyze_body(
     let samples = req.samples.unwrap_or(100);
     let seed = req.seed.unwrap_or(0);
     let g = ctx.graph();
-    let mut hot: Vec<(f64, localwm_cdfg::NodeId)> = g
-        .node_ids()
-        .filter(|&n| g.kind(n).is_schedulable())
-        .map(|n| (report.probability(n), n))
-        .collect();
-    hot.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite").then(a.1.cmp(&b.1)));
-    let top: Vec<Value> = hot
-        .iter()
-        .take(5)
-        .map(|&(p, n)| {
+    let top: Vec<Value> = report
+        .top_critical(5, |n| g.kind(n).is_schedulable())
+        .into_iter()
+        .map(|(n, p)| {
             let name = g
                 .node_name(n)
                 .map_or_else(|| format!("n{}", n.index()), str::to_owned);

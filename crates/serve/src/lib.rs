@@ -58,7 +58,10 @@ pub use cache::{CacheStats, ContextCache};
 pub use client::Client;
 pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultSpec, FiredFault, InjectionPoint};
 pub use metrics::{Metrics, Outcome};
-pub use protocol::{ErrorCode, Request, RequestKind, Response, ServiceError, BINARY_MAGIC};
+pub use protocol::{
+    line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request, RequestKind,
+    Response, ServiceError, BINARY_MAGIC, MAX_LINE_BYTES,
+};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{start, ServeConfig, ServerHandle};
 pub use session::SessionState;

@@ -32,6 +32,14 @@
 //! Requests may be pipelined on one connection; responses carry the echoed
 //! `id` so clients can match them when they complete out of order.
 //!
+//! A request line may hold at most [`MAX_LINE_BYTES`] bytes before its
+//! `\n`. Both `localwm-serve` and `localwm-gateway` read lines through
+//! [`read_request_line`]; a longer line gets the typed `bad_request` of
+//! [`line_too_long`] after the answers to the lines before it, and then
+//! the connection closes through [`linger_close`]: the server half-closes
+//! its side and reads and discards input for a bounded time before it
+//! drops the socket.
+//!
 //! # Binary negotiation
 //!
 //! A client that opens its connection with the single line
@@ -44,12 +52,97 @@
 //! it over the full golden corpus).
 
 use std::fmt;
+use std::io::{self, BufRead, Read};
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 use localwm_store::binval;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The negotiation line that switches a fresh connection to binary frames.
 pub const BINARY_MAGIC: &str = "LWMB1";
+
+/// The longest JSON request line a server reads, in bytes, not counting
+/// its `\n`: 8 MiB. A 3,000-op design, the largest the benchmark sends,
+/// travels in about 0.6 MB, and the 200 KB nesting bomb stays far below
+/// the cap, so it still reaches the parser's nesting check.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
+/// What one [`read_request_line`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineRead {
+    /// The peer closed the connection before sending another byte.
+    Eof,
+    /// A line of at most [`MAX_LINE_BYTES`] bytes, with its `\n` unless the
+    /// peer closed right after it.
+    Line,
+    /// More than [`MAX_LINE_BYTES`] bytes without a `\n`; the rest of the
+    /// line is left unread.
+    TooLong,
+}
+
+/// Reads the next request line into `buf` (cleared first), reading at
+/// most one byte past [`MAX_LINE_BYTES`], so a hostile line can never
+/// grow the buffer without bound.
+///
+/// # Errors
+///
+/// Propagates socket read errors.
+pub fn read_request_line<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<LineRead> {
+    buf.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    Ok(if n == 0 {
+        LineRead::Eof
+    } else if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+        LineRead::TooLong
+    } else {
+        LineRead::Line
+    })
+}
+
+/// How long [`linger_close`] keeps reading before it drops the socket.
+pub const LINGER: Duration = Duration::from_secs(2);
+
+/// Closes a connection whose input may still hold unread bytes, such as
+/// the rest of an over-cap line, without throwing away the answers
+/// already written. Closing a TCP socket with unread input sends a reset,
+/// and a reset lets the peer's stack discard answers it has not read yet.
+/// So this half-closes the write side first (the peer reads every answer,
+/// then end of stream), then reads and discards input until the peer
+/// closes, [`LINGER`] passes or [`MAX_LINE_BYTES`] more bytes arrive, and
+/// only then returns for the caller to drop the socket. A peer that is
+/// still sending past both bounds can still see a reset.
+pub fn linger_close(reader: &mut io::BufReader<TcpStream>) {
+    let _ = reader.get_ref().shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut budget = MAX_LINE_BYTES;
+    let mut sink = [0u8; 16 << 10];
+    while budget > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
+}
+
+/// The typed answer to a [`LineRead::TooLong`] line.
+pub fn line_too_long() -> Response {
+    Response::failure(
+        None,
+        "invalid",
+        ServiceError::new(
+            ErrorCode::BadRequest,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        ),
+    )
+}
 
 /// The request kinds the service understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -913,6 +1006,29 @@ mod tests {
                 "direct writer diverged for {resp:?}"
             );
         }
+    }
+
+    #[test]
+    fn request_lines_are_read_up_to_the_cap() {
+        let fits = format!("{}\n", "a".repeat(MAX_LINE_BYTES));
+        let over = "b".repeat(MAX_LINE_BYTES + 1);
+        let input = format!("{fits}short\n{over}\ntail\n");
+        let mut reader = io::BufReader::new(input.as_bytes());
+        let mut buf = Vec::new();
+        let mut read = || read_request_line(&mut reader, &mut buf).unwrap();
+        assert_eq!(read(), LineRead::Line);
+        assert_eq!(read(), LineRead::Line);
+        assert_eq!(read(), LineRead::TooLong);
+        let mut reader = io::BufReader::new("last".as_bytes());
+        assert_eq!(
+            read_request_line(&mut reader, &mut buf).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(buf, b"last");
+        assert_eq!(
+            read_request_line(&mut reader, &mut buf).unwrap(),
+            LineRead::Eof
+        );
     }
 
     #[test]

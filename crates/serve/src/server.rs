@@ -38,7 +38,10 @@ use crate::cache::ContextCache;
 use crate::fault::{FaultAction, FaultInjector, FaultPlan, FiredFault, InjectionPoint};
 use crate::handlers;
 use crate::metrics::{Metrics, Outcome};
-use crate::protocol::{ErrorCode, Request, RequestKind, Response, ServiceError, BINARY_MAGIC};
+use crate::protocol::{
+    line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request, RequestKind,
+    Response, ServiceError, BINARY_MAGIC,
+};
 use crate::queue::{BoundedQueue, PushError};
 use crate::singleflight::coalescing_key;
 
@@ -202,6 +205,19 @@ impl Conn {
         let seq = st.next_seq;
         st.next_seq += 1;
         Some(seq)
+    }
+
+    /// Blocks until every response assigned a slot so far is on the wire,
+    /// or the server stops.
+    fn wait_written(&self, stopped: &AtomicBool) {
+        let mut st = self.order.lock().expect("order lock");
+        while st.next_write < st.next_seq && !stopped.load(Ordering::SeqCst) {
+            let (guard, _) = self
+                .wrote
+                .wait_timeout(st, Duration::from_millis(20))
+                .expect("order lock");
+            st = guard;
+        }
     }
 
     /// The response's wire bytes in this connection's negotiated encoding,
@@ -872,14 +888,18 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     // connection to length-prefixed binary frames; anything else is the
     // first JSON request and the connection stays on JSON lines.
     let mut reader = io::BufReader::new(read_half);
-    let mut first_line = String::new();
-    let binary = match io::BufRead::read_line(&mut reader, &mut first_line) {
-        Ok(n) if n > 0 => first_line.trim() == BINARY_MAGIC,
-        _ => {
+    // One recycled line buffer for the whole connection: cleared per
+    // request, never freed, so a warm conn reads without allocating.
+    let mut line = Vec::new();
+    let mut read = match read_request_line(&mut reader, &mut line) {
+        Ok(LineRead::Eof) | Err(_) => {
             shared.conns.lock().expect("conns lock").remove(&conn_id);
             return;
         }
+        Ok(read) => read,
     };
+    let binary = read == LineRead::Line
+        && std::str::from_utf8(&line).is_ok_and(|first| first.trim() == BINARY_MAGIC);
     let conn = Arc::new(Conn::new(
         stream,
         shared.injector.clone(),
@@ -891,22 +911,29 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
         binary_conn_loop(shared, &conn, &mut reader);
     } else {
         shared.json_conns.fetch_add(1, Ordering::SeqCst);
-        if handle_json_line(shared, &conn, &first_line) {
-            // One recycled line buffer for the whole connection: cleared
-            // per request, never freed, so a warm conn reads without
-            // allocating.
-            let mut line = String::new();
-            loop {
-                line.clear();
-                match io::BufRead::read_line(&mut reader, &mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {
-                        if !handle_json_line(shared, &conn, &line) {
-                            break;
-                        }
+        loop {
+            match read {
+                LineRead::Line => match std::str::from_utf8(&line) {
+                    Ok(text) if handle_json_line(shared, &conn, text) => {}
+                    _ => break,
+                },
+                // Answered in order behind whatever is in flight; once
+                // every answer is on the wire the connection closes
+                // without parsing the rest of the line.
+                LineRead::TooLong => {
+                    if let Some(seq) = conn.assign_seq(&shared.stopped) {
+                        conn.send(seq, &line_too_long());
+                        conn.wait_written(&shared.stopped);
+                        linger_close(&mut reader);
                     }
+                    break;
                 }
+                LineRead::Eof => break,
             }
+            read = match read_request_line(&mut reader, &mut line) {
+                Ok(read) => read,
+                Err(_) => break,
+            };
         }
     }
     shared.conns.lock().expect("conns lock").remove(&conn_id);

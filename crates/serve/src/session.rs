@@ -191,12 +191,12 @@ fn apply_line(ed: &mut DesignEditor, line: &str) -> Result<(), String> {
             let kind = edge_kind(kind_tok)?;
             let s = node_ref(ed, src)?;
             let d = node_ref(ed, dst)?;
+            // The lowest-id live match, looked up among the source's
+            // out-edges instead of every edge in the graph.
             let id = ed
-                .edge_ids()
-                .find(|&e| {
-                    ed.edge(e)
-                        .is_some_and(|x| x.kind() == kind && x.src() == s && x.dst() == d)
-                })
+                .out_edge_ids(s)
+                .filter(|&e| ed.edge(e).is_some_and(|x| x.kind() == kind && x.dst() == d))
+                .min()
                 .ok_or_else(|| format!("no live {kind_tok} edge {src} -> {dst}"))?;
             ed.remove_edge(id).map_err(|e| e.to_string())?;
             Ok(())
@@ -302,6 +302,43 @@ mod tests {
             .mutate("s", "add-node A9 not\n")
             .expect_err("duplicate name");
         assert_eq!(err.code, ErrorCode::BadRequest);
+    }
+
+    #[test]
+    fn remove_edge_takes_the_lowest_id_live_match() {
+        let mut s = open_iir4();
+        s.mutate(
+            "s",
+            "add-edge temp A1 A5\nadd-edge ctrl A1 A5\nadd-edge temp A1 A5\n",
+        )
+        .expect("valid script");
+        let (a1, a5) = (
+            s.ctx.node_by_name("A1").unwrap(),
+            s.ctx.node_by_name("A5").unwrap(),
+        );
+        let temps = |s: &SessionState| -> Vec<localwm_cdfg::EdgeId> {
+            s.ctx
+                .edge_ids()
+                .filter(|&e| {
+                    let x = s.ctx.edge(e).unwrap();
+                    x.kind() == EdgeKind::Temporal && x.src() == a1 && x.dst() == a5
+                })
+                .collect()
+        };
+        let before = temps(&s);
+        assert_eq!(before.len(), 2);
+        s.mutate("s", "remove-edge temp A1 A5\n")
+            .expect("live edge");
+        assert_eq!(temps(&s), vec![before[1]]);
+        s.mutate("s", "remove-edge temp A1 A5\n")
+            .expect("live edge");
+        let err = s
+            .mutate("s", "remove-edge temp A1 A5\n")
+            .expect_err("no temp edge left");
+        assert_eq!(err.message, "edit line 1: no live temp edge A1 -> A5");
+        // The control edge between the same pair is untouched.
+        s.mutate("s", "remove-edge ctrl A1 A5\n")
+            .expect("live edge");
     }
 
     #[test]

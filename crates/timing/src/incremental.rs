@@ -6,10 +6,17 @@
 //! sweep — and after a small edit most of both are unchanged. This module
 //! keeps the per-sample delay draws, finish times, tail lengths, and
 //! criticality hit-sets alive in a [`CriticalityCache`] and, after an
-//! edit, repairs them per sample (RNG-free) with value-driven worklists
-//! seeded at the dirty nodes: a re-derive propagates to its neighbors
-//! only when the value actually changed, so the work done is the size of
-//! the *changed* region, not of any conservative cone around it.
+//! edit, repairs them (RNG-free) with value-driven worklists seeded at the
+//! dirty nodes: a re-derive propagates to its neighbors only when a value
+//! actually changed, so the work done is the size of the *changed*
+//! region, not of any conservative cone around it.
+//!
+//! The captured state is **node-major**: each node owns one lane row per
+//! quantity, holding every sample, in the lane width the kernel picked
+//! (`u32` when the bound sum fits, else `u64`). A patch pops each node at
+//! most once per direction and re-derives all of its samples with
+//! lane-wise `max`/`add`, propagating when any lane changed — one
+//! worklist for all samples instead of one per sample.
 //!
 //! The backward half is cached in a circuit-independent form. The push
 //! sweep in [`criticality_in`](crate::criticality_in) computes
@@ -19,9 +26,15 @@
 //! `d[v] + tail[v]` is a path suffix and so never exceeds the circuit
 //! delay. A node is critical iff `finish[v] == required[v]`, i.e. iff
 //! `finish[v] + tail[v] == circuit`. Tails depend only on the draws and
-//! the graph structure — not on arrivals and not on the circuit delay —
-//! so an edit that shifts the circuit delay costs one flat re-flagging
-//! scan per sample instead of a full backward sweep.
+//! the graph structure — not on arrivals and not on the circuit delay.
+//!
+//! Each sample's circuit delay (its maximum finish time) is tracked
+//! without a scan: a re-derived finish above it raises it, and only a
+//! finish that *held* the maximum and dropped forces a rescan. The
+//! critical flags are one bit per node and sample. After a patch only the
+//! re-derived nodes are re-flagged in full; where a sample's circuit moved,
+//! every other node's path length is unchanged, so a rise clears its bit
+//! and a fall re-tests it against the new circuit in that lane alone.
 //!
 //! The cache is only reused when the replayed result is provably
 //! byte-identical to a from-scratch run:
@@ -42,19 +55,20 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use localwm_engine::{DesignContext, Parallelism};
+use localwm_cdfg::{Csr, NodeId};
+use localwm_engine::{DesignContext, Parallelism, ResolvedBounds};
 
-use crate::statistical::{soa_sweep, SampleRows, Sampler};
-use crate::{criticality_in, CriticalityReport, DelayBounds, DelayInterval};
+use crate::statistical::{crit_words, sweep_rows, LaneRows, Sampler, Word};
+use crate::{criticality_in, CriticalityReport, DelayBounds};
 
-/// Largest `samples × nodes` product the cache will retain (three `u64`
-/// lanes plus one `bool` per cell); past this, caching would cost more
-/// memory than the recompute is worth and every query runs from scratch
-/// uncached.
+/// Largest `samples × nodes` product the cache will retain (three lanes
+/// plus one bit per cell); past this, caching would cost more memory than
+/// the recompute is worth and every query runs from scratch uncached.
 const CACHE_CELL_CAP: usize = 1_000_000;
 
-/// Captured per-sample state of one criticality run.
+/// Captured state of one criticality run.
 struct Capture {
     samples: usize,
     seed: u64,
@@ -63,28 +77,32 @@ struct Capture {
     /// Node count at capture; a mismatch always invalidates.
     n: usize,
     /// Per-node delay bounds the draws were made under.
-    bounds: Vec<DelayInterval>,
-    /// Flattened `samples × n` delay draws, sample-major.
-    d: Vec<u64>,
-    /// Flattened `samples × n` finish times, sample-major.
-    finish: Vec<u64>,
-    /// Flattened `samples × n` tail lengths (longest delay path strictly
-    /// below each node), sample-major; `required = circuit − tail`.
-    tail: Vec<u64>,
-    /// Flattened `samples × n` critical-node flags
-    /// (`finish + tail == circuit`), sample-major; the per-sample detail
-    /// behind `hits`.
-    crit: Vec<bool>,
-    /// Per-sample circuit delay (max finish), in sample order.
-    circuit: Vec<u64>,
+    bounds: Arc<ResolvedBounds>,
     /// Per-node critical-hit counts aggregated across samples.
     hits: Vec<u64>,
+    lanes: Lanes,
+}
+
+/// The captured rows, in the lane width the kernel picked for the run.
+enum Lanes {
+    Narrow(LaneState<u32>),
+    Wide(LaneState<u64>),
+}
+
+/// Every sample's state, node-major, plus each sample's circuit delay.
+struct LaneState<T> {
+    rows: LaneRows<T>,
+    /// Per sample, in sample order: the circuit delay (max finish).
+    circuit: Vec<T>,
 }
 
 /// The report the captured aggregates already answer; every patch keeps
 /// `circuit` and `hits` exact, so reporting is allocation plus a sort.
 fn report_from(cap: &Capture) -> CriticalityReport {
-    let mut delays = cap.circuit.clone();
+    let mut delays: Vec<u64> = match &cap.lanes {
+        Lanes::Narrow(st) => st.circuit.iter().map(|&c| c.into()).collect(),
+        Lanes::Wide(st) => st.circuit.clone(),
+    };
     delays.sort_unstable();
     CriticalityReport {
         criticality: cap
@@ -100,7 +118,7 @@ fn report_from(cap: &Capture) -> CriticalityReport {
 /// Memoized Monte-Carlo state that survives graph mutations.
 ///
 /// Holds the last run's per-sample draws and arrival times; on requery
-/// after an edit it patches only the dirty fan-out cone per sample. The
+/// after an edit it re-derives only the nodes whose values change. The
 /// report returned is byte-identical to [`criticality_in`] on the current
 /// graph in every case — the cache only changes how it is computed.
 ///
@@ -136,8 +154,8 @@ impl CriticalityCache {
     }
 
     /// [`criticality_in`](crate::criticality_in) with cross-mutation
-    /// memoization: patches the cached per-sample state over the dirty
-    /// cone when provably byte-identical, recaptures otherwise.
+    /// memoization: patches the cached state where values changed when
+    /// provably byte-identical, recaptures otherwise.
     ///
     /// # Panics
     ///
@@ -151,13 +169,12 @@ impl CriticalityCache {
         par: Parallelism,
     ) -> CriticalityReport {
         assert!(samples > 0, "at least one sample required");
-        let g = ctx.graph();
-        let n = g.node_count();
+        let n = ctx.graph().node_count();
         if samples.saturating_mul(n) > CACHE_CELL_CAP {
             self.capture = None;
             return criticality_in(ctx, model, samples, seed, par);
         }
-        let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(g, v)).collect();
+        let bounds = ctx.resolved_bounds(model);
         if let Some(report) = self.try_patch(ctx, samples, seed, &bounds) {
             ctx.probe().counter("timing.criticality.patch", 1);
             return report;
@@ -167,138 +184,28 @@ impl CriticalityCache {
     }
 
     /// The incremental path: `None` unless every byte-identity
-    /// precondition holds and the dirty cone fits the context's limit.
+    /// precondition holds.
     fn try_patch(
         &mut self,
         ctx: &DesignContext,
         samples: usize,
         seed: u64,
-        bounds: &[DelayInterval],
+        bounds: &Arc<ResolvedBounds>,
     ) -> Option<CriticalityReport> {
         let cap = self.capture.as_mut()?;
         let n = ctx.graph().node_count();
-        if cap.samples != samples || cap.seed != seed || cap.n != n || cap.bounds != bounds {
+        let same_bounds =
+            Arc::ptr_eq(&cap.bounds, bounds) || cap.bounds.intervals() == bounds.intervals();
+        if cap.samples != samples || cap.seed != seed || cap.n != n || !same_bounds {
             return None;
         }
         let dirty = ctx.dirty_since(cap.generation)?;
-        if dirty.is_empty() {
-            cap.generation = ctx.generation();
-            return Some(report_from(cap));
-        }
-        let order = ctx.try_topo().ok()?;
-        let preds = ctx.preds_csr();
-        let succs = ctx.succs_csr();
-        // Node index → topo position, for worklist pushes below.
-        let mut pos_of = vec![0usize; n];
-        for (p, &v) in order.iter().enumerate() {
-            pos_of[v.index()] = p;
-        }
-        let dirty_pos: Vec<usize> = dirty.iter().map(|&v| pos_of[v.index()]).collect();
-        let mut queued = vec![false; n];
-        let mut fwd: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(dirty_pos.len());
-        let mut bwd: BinaryHeap<usize> = BinaryHeap::with_capacity(dirty_pos.len());
-        let mut changed: Vec<usize> = Vec::new();
-
-        for s in 0..samples {
-            let base = s * n;
-            let d = &cap.d[base..base + n];
-            changed.clear();
-            // Forward: arrivals re-derive from the edited nodes outward,
-            // but only while the value actually changes. The min-heap pops
-            // positions ascending, so every predecessor a re-derive reads
-            // is either already settled this pass or untouched since the
-            // capture — the order of the full sweep, restricted to where
-            // it matters.
-            {
-                let finish = &mut cap.finish[base..base + n];
-                for &p in &dirty_pos {
-                    if !queued[p] {
-                        queued[p] = true;
-                        fwd.push(Reverse(p));
-                    }
-                }
-                while let Some(Reverse(p)) = fwd.pop() {
-                    queued[p] = false;
-                    let v = order[p].index();
-                    let mut arrive = 0u64;
-                    for &pi in preds.row(p) {
-                        arrive = arrive.max(finish[pi as usize]);
-                    }
-                    let f = arrive + d[v];
-                    if f != finish[v] {
-                        finish[v] = f;
-                        changed.push(v);
-                        for &si in succs.row(p) {
-                            let sp = pos_of[si as usize];
-                            if !queued[sp] {
-                                queued[sp] = true;
-                                fwd.push(Reverse(sp));
-                            }
-                        }
-                    }
-                }
-            }
-            // Backward: tails likewise, walking predecessors descending.
-            {
-                let tail = &mut cap.tail[base..base + n];
-                for &p in &dirty_pos {
-                    if !queued[p] {
-                        queued[p] = true;
-                        bwd.push(p);
-                    }
-                }
-                while let Some(p) = bwd.pop() {
-                    queued[p] = false;
-                    let v = order[p].index();
-                    let mut l = 0u64;
-                    for &si in succs.row(p) {
-                        l = l.max(d[si as usize] + tail[si as usize]);
-                    }
-                    if l != tail[v] {
-                        tail[v] = l;
-                        changed.push(v);
-                        for &pi in preds.row(p) {
-                            let pp = pos_of[pi as usize];
-                            if !queued[pp] {
-                                queued[pp] = true;
-                                bwd.push(pp);
-                            }
-                        }
-                    }
-                }
-            }
-            // Criticality is `finish + tail == circuit`. With the circuit
-            // delay unchanged, flags can flip only where finish or tail
-            // moved; a circuit shift re-flags in one flat scan instead of
-            // a full sweep.
-            let finish = &cap.finish[base..base + n];
-            let tail = &cap.tail[base..base + n];
-            let circuit = finish.iter().copied().max().unwrap_or(0);
-            if circuit != cap.circuit[s] {
-                cap.circuit[s] = circuit;
-                for v in 0..n {
-                    let now = finish[v] + tail[v] == circuit;
-                    if now != cap.crit[base + v] {
-                        cap.crit[base + v] = now;
-                        if now {
-                            cap.hits[v] += 1;
-                        } else {
-                            cap.hits[v] -= 1;
-                        }
-                    }
-                }
-            } else {
-                for &v in &changed {
-                    let now = finish[v] + tail[v] == circuit;
-                    if now != cap.crit[base + v] {
-                        cap.crit[base + v] = now;
-                        if now {
-                            cap.hits[v] += 1;
-                        } else {
-                            cap.hits[v] -= 1;
-                        }
-                    }
-                }
+        if !dirty.is_empty() {
+            let order = ctx.try_topo().ok()?;
+            let (preds, succs) = (ctx.preds_csr(), ctx.succs_csr());
+            match &mut cap.lanes {
+                Lanes::Narrow(st) => st.patch(&mut cap.hits, order, preds, succs, &dirty),
+                Lanes::Wide(st) => st.patch(&mut cap.hits, order, preds, succs, &dirty),
             }
         }
         cap.generation = ctx.generation();
@@ -306,44 +213,246 @@ impl CriticalityCache {
     }
 
     /// The full path: one serial run through the shared SoA block kernel
-    /// ([`soa_sweep`]) — the same code `criticality_in` times with, so the
+    /// ([`sweep_rows`]) — the same code `criticality_in` times with, so the
     /// captured draws, finish times, and tail lengths are the scratch
     /// run's by construction (per-sample seeding makes partitioning
     /// irrelevant to the values). The kernel records every sample's rows
-    /// sample-major, widened to `u64`, which is the layout the per-sample
-    /// patch worklists want.
+    /// node-major in the row type it runs in, which is the layout the
+    /// patch wants.
     fn capture_from_scratch(
         &mut self,
         ctx: &DesignContext,
         samples: usize,
         seed: u64,
-        bounds: Vec<DelayInterval>,
+        bounds: Arc<ResolvedBounds>,
     ) -> CriticalityReport {
-        let n = ctx.graph().node_count();
-        let mut rows = SampleRows::zeroed(samples * n);
-        let sweep = soa_sweep(
-            ctx.topo(),
-            ctx.preds_csr(),
-            ctx.succs_csr(),
-            &Sampler::new(&bounds),
-            seed,
-            0..samples,
-            Some(&mut rows),
-        );
+        let sampler = Sampler::new(bounds.intervals());
+        let (order, preds, succs) = (ctx.topo(), ctx.preds_csr(), ctx.succs_csr());
+        let (hits, lanes) = if sampler.wide {
+            let (hits, st) = LaneState::record(order, preds, succs, &sampler, seed, samples);
+            (hits, Lanes::Wide(st))
+        } else {
+            let (hits, st) = LaneState::record(order, preds, succs, &sampler, seed, samples);
+            (hits, Lanes::Narrow(st))
+        };
         self.capture = Some(Capture {
             samples,
             seed,
             generation: ctx.generation(),
-            n,
+            n: order.len(),
             bounds,
-            d: rows.d,
-            finish: rows.finish,
-            tail: rows.tail,
-            crit: rows.crit,
-            circuit: sweep.circuit,
-            hits: sweep.hits,
+            hits,
+            lanes,
         });
         report_from(self.capture.as_ref().expect("just captured"))
+    }
+}
+
+/// Lane-wise `acc = max(acc, row)`.
+#[inline]
+fn max_lanes<T: Word>(acc: &mut [T], row: &[T]) {
+    for (a, &r) in acc.iter_mut().zip(row) {
+        *a = (*a).max(r);
+    }
+}
+
+/// Lane-wise `acc = max(acc, x + y)`.
+#[inline]
+fn max_sum_lanes<T: Word>(acc: &mut [T], x: &[T], y: &[T]) {
+    for ((a, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+        *a = (*a).max(x + y);
+    }
+}
+
+impl<T: Word> LaneState<T> {
+    /// Runs the kernel over samples `0..samples`, recording every row;
+    /// returns the per-node hit counts with the state.
+    fn record(
+        order: &[NodeId],
+        preds: &Csr,
+        succs: &Csr,
+        sampler: &Sampler,
+        seed: u64,
+        samples: usize,
+    ) -> (Vec<u64>, LaneState<T>) {
+        let mut rows = LaneRows::zeroed(order.len(), samples);
+        let sweep = sweep_rows(
+            order,
+            preds,
+            succs,
+            sampler,
+            seed,
+            0..samples,
+            Some(&mut rows),
+        );
+        let circuit = sweep.circuit.iter().map(|&c| T::narrow(c)).collect();
+        (sweep.hits, LaneState { rows, circuit })
+    }
+
+    /// Re-derives finish times forward and tails backward from the
+    /// `dirty` nodes, then re-flags criticality and moves `hits` with it.
+    ///
+    /// Both worklists pop topological positions in sweep order (ascending
+    /// forward, descending backward), and a re-derive pushes its
+    /// neighbors only when some lane changed. So every row a re-derive
+    /// reads is either settled this pass or untouched since the capture —
+    /// the full sweep's order, restricted to where values move — and each
+    /// node is popped at most once per direction.
+    fn patch(
+        &mut self,
+        hits: &mut [u64],
+        order: &[NodeId],
+        preds: &Csr,
+        succs: &Csr,
+        dirty: &[NodeId],
+    ) {
+        let n = order.len();
+        let lanes = self.rows.stride;
+        let words = crit_words(lanes);
+        let LaneRows {
+            d,
+            finish,
+            tail,
+            crit,
+            ..
+        } = &mut self.rows;
+        let circuit = &mut self.circuit;
+        let before = circuit.clone();
+        let mut queued = vec![false; n];
+        let mut touched = vec![false; n];
+        let mut moved: Vec<usize> = Vec::new();
+        let mut row = vec![T::default(); lanes];
+        let mut rescan = false;
+
+        // Forward: finish = max over predecessors' finish + own draw.
+        let mut fwd: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(dirty.len());
+        for &v in dirty {
+            let p = preds.position(v);
+            queued[p] = true;
+            fwd.push(Reverse(p));
+        }
+        while let Some(Reverse(p)) = fwd.pop() {
+            queued[p] = false;
+            let v = order[p].index();
+            row.fill(T::default());
+            for &u in preds.row(p) {
+                max_lanes(&mut row, &finish[u as usize * lanes..][..lanes]);
+            }
+            for (r, &dv) in row.iter_mut().zip(&d[v * lanes..][..lanes]) {
+                *r = *r + dv;
+            }
+            let cur = &mut finish[v * lanes..][..lanes];
+            if *cur == row[..] {
+                continue;
+            }
+            // The circuit delay is the maximum finish: a finish above it
+            // raises it, and one that held it and dropped forces a rescan.
+            for ((old, &new), c) in cur.iter().zip(&row).zip(circuit.iter_mut()) {
+                if new > *c {
+                    *c = new;
+                } else if new < *old && *old == *c {
+                    rescan = true;
+                }
+            }
+            cur.copy_from_slice(&row);
+            if !touched[v] {
+                touched[v] = true;
+                moved.push(v);
+            }
+            for &w in succs.row(p) {
+                let wp = succs.position(NodeId::from_index(w as usize));
+                if !queued[wp] {
+                    queued[wp] = true;
+                    fwd.push(Reverse(wp));
+                }
+            }
+        }
+        if rescan {
+            circuit.fill(T::default());
+            for f in finish.chunks_exact(lanes) {
+                max_lanes(circuit, f);
+            }
+        }
+
+        // Backward: tail = max over successors' draw + tail.
+        let mut bwd: BinaryHeap<usize> = BinaryHeap::with_capacity(dirty.len());
+        for &v in dirty {
+            let p = preds.position(v);
+            queued[p] = true;
+            bwd.push(p);
+        }
+        while let Some(p) = bwd.pop() {
+            queued[p] = false;
+            let v = order[p].index();
+            row.fill(T::default());
+            for &w in succs.row(p) {
+                let w = w as usize * lanes;
+                max_sum_lanes(&mut row, &d[w..][..lanes], &tail[w..][..lanes]);
+            }
+            let cur = &mut tail[v * lanes..][..lanes];
+            if *cur == row[..] {
+                continue;
+            }
+            cur.copy_from_slice(&row);
+            if !touched[v] {
+                touched[v] = true;
+                moved.push(v);
+            }
+            for &u in preds.row(p) {
+                let up = preds.position(NodeId::from_index(u as usize));
+                if !queued[up] {
+                    queued[up] = true;
+                    bwd.push(up);
+                }
+            }
+        }
+
+        // Re-flag: `finish + tail == circuit`, every lane of every node
+        // whose finish or tail moved.
+        for &v in &moved {
+            let (f, t) = (&finish[v * lanes..][..lanes], &tail[v * lanes..][..lanes]);
+            for (k, word) in crit[v * words..][..words].iter_mut().enumerate() {
+                let first = k * 64;
+                let mut now = 0u64;
+                for s in first..lanes.min(first + 64) {
+                    now |= u64::from(f[s] + t[s] == circuit[s]) << (s - first);
+                }
+                hits[v] += u64::from((now & !*word).count_ones());
+                hits[v] -= u64::from((*word & !now).count_ones());
+                *word = now;
+            }
+        }
+        // Every other node kept its path length `finish + tail`, which was
+        // at most the old circuit. Where a sample's circuit rose, none of
+        // them reaches it any more; where it fell, none reached the old
+        // one (that path would still exist), so only the new value needs
+        // testing, in that lane alone.
+        let mut rose = vec![0u64; words];
+        let mut fell: Vec<usize> = Vec::new();
+        for (s, (&now, &was)) in circuit.iter().zip(&before).enumerate() {
+            if now > was {
+                rose[s / 64] |= 1 << (s % 64);
+            } else if now < was {
+                fell.push(s);
+            }
+        }
+        if fell.is_empty() && rose.iter().all(|&w| w == 0) {
+            return;
+        }
+        for v in (0..n).filter(|&v| !touched[v]) {
+            let bits = &mut crit[v * words..][..words];
+            for (word, &r) in bits.iter_mut().zip(&rose) {
+                hits[v] -= u64::from((*word & r).count_ones());
+                *word &= !r;
+            }
+            for &s in &fell {
+                if finish[v * lanes + s] + tail[v * lanes + s] == circuit[s] {
+                    debug_assert_eq!(bits[s / 64] & (1 << (s % 64)), 0);
+                    bits[s / 64] |= 1 << (s % 64);
+                    hits[v] += 1;
+                }
+            }
+        }
     }
 }
 

@@ -16,8 +16,8 @@
 //!   parallel runs agree exactly.
 //! * [`CriticalityCache`] — the same analysis memoized across graph
 //!   mutations: per-sample draws and arrival times survive an edit and
-//!   only the dirty fan-out cone is re-timed, with provable
-//!   byte-identity to a from-scratch run.
+//!   only the nodes whose values change are re-timed, all samples at
+//!   once, with provable byte-identity to a from-scratch run.
 //!
 //! # Example
 //!

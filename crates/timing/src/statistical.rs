@@ -45,10 +45,11 @@
 //! (see the proof in [`crate::CriticalityCache`]'s module docs), which is
 //! the form [`criticality_reference`] checks directly. The incremental
 //! cache's from-scratch capture runs this same kernel and has it record
-//! every sample's rows, widened to `u64`.
+//! every sample's rows node-major, in the row type it picked
+//! ([`LaneRows`]).
 
 use std::array;
-use std::ops::{Add, Range};
+use std::ops::{Add, Range, Sub};
 use std::time::Instant;
 
 use localwm_cdfg::{Cdfg, Csr, NodeId};
@@ -94,6 +95,32 @@ impl CriticalityReport {
         self.delays[idx]
     }
 
+    /// The `k` nodes most often critical among those `keep` accepts, with
+    /// their probabilities: probability descending, then id ascending —
+    /// the first `k` of a full sort in that order, selected in one pass
+    /// instead. `keep` is asked only about nodes that would rank.
+    pub fn top_critical(
+        &self,
+        k: usize,
+        mut keep: impl FnMut(NodeId) -> bool,
+    ) -> Vec<(NodeId, f64)> {
+        let mut top: Vec<(NodeId, f64)> = Vec::with_capacity(k + 1);
+        for (i, &p) in self.criticality.iter().enumerate() {
+            // Ids ascend, so a candidate that ties the last entry ranks
+            // after it.
+            if top.len() == k && top.last().is_none_or(|&(_, q)| p <= q) {
+                continue;
+            }
+            let v = NodeId::from_index(i);
+            if keep(v) {
+                let at = top.partition_point(|&(_, q)| q >= p);
+                top.insert(at, (v, p));
+                top.truncate(k);
+            }
+        }
+        top
+    }
+
     /// Nodes whose criticality probability is at least `threshold`,
     /// ascending by id.
     pub fn critical_above(&self, threshold: f64) -> Vec<NodeId> {
@@ -117,7 +144,7 @@ pub(crate) struct Sampler {
     /// Drawn nodes ascending by index, with their precomputed samplers.
     drawn: Vec<(usize, Uniform<u64>)>,
     /// Σ of every node's `hi` exceeds `u32`: rows must be `u64`.
-    wide: bool,
+    pub(crate) wide: bool,
 }
 
 impl Sampler {
@@ -144,7 +171,9 @@ impl Sampler {
 }
 
 /// A lane type that holds every path delay of the run exactly.
-trait Word: Copy + Default + Ord + Add<Output = Self> + Into<u64> {
+pub(crate) trait Word:
+    Copy + Default + Ord + Add<Output = Self> + Sub<Output = Self> + Into<u64>
+{
     /// Narrows a delay; [`Sampler`] picked the type so that it fits.
     fn narrow(v: u64) -> Self;
 }
@@ -185,35 +214,46 @@ pub(crate) struct Sweep {
     pub circuit: Vec<u64>,
 }
 
-/// Every sample's per-node state, sample-major: node `v` of the range's
-/// `s`-th sample sits at `[s * n + v]`.
-pub(crate) struct SampleRows {
+/// Every sample's per-node state, node-major: node `v` owns the lane row
+/// `[v * stride, (v + 1) * stride)`, one lane per sample of the recorded
+/// range, so a patch re-derives all of a node's samples in one lane-wise
+/// pass.
+pub(crate) struct LaneRows<T> {
+    /// Lanes per node row: the recorded range's sample count.
+    pub stride: usize,
     /// Delay draws.
-    pub d: Vec<u64>,
+    pub d: Vec<T>,
     /// Forward finish times.
-    pub finish: Vec<u64>,
+    pub finish: Vec<T>,
     /// Tail lengths (longest delay path strictly below the node).
-    pub tail: Vec<u64>,
-    /// Critical-node flags (`finish + tail == circuit`).
-    pub crit: Vec<bool>,
+    pub tail: Vec<T>,
+    /// Critical-lane bits (`finish + tail == circuit`), [`crit_words`]
+    /// `u64` words per node: bit `s % 64` of word `s / 64` is sample `s`.
+    pub crit: Vec<u64>,
 }
 
-impl SampleRows {
-    pub(crate) fn zeroed(cells: usize) -> SampleRows {
-        SampleRows {
-            d: vec![0; cells],
-            finish: vec![0; cells],
-            tail: vec![0; cells],
-            crit: vec![false; cells],
+/// `u64` words per node of a [`LaneRows::crit`] bitset.
+pub(crate) fn crit_words(stride: usize) -> usize {
+    stride.div_ceil(64)
+}
+
+impl<T: Word> LaneRows<T> {
+    pub(crate) fn zeroed(nodes: usize, stride: usize) -> LaneRows<T> {
+        LaneRows {
+            stride,
+            d: vec![T::default(); nodes * stride],
+            finish: vec![T::default(); nodes * stride],
+            tail: vec![T::default(); nodes * stride],
+            crit: vec![0; nodes * crit_words(stride)],
         }
     }
 }
 
 /// The Monte-Carlo inner loop: times samples `range` of the run
 /// `(seed, sampler)` in `LANES`-wide SoA blocks over the memoized CSR,
-/// in the row type the sampler picked. With `rows`, also records every
-/// sample's state there. Single source of truth for the per-sample math —
-/// the parallel sweep and the incremental cache's capture both drive it.
+/// in the row type the sampler picked. Single source of truth for the
+/// per-sample math — the parallel sweep drives it directly and the
+/// incremental cache's capture through [`sweep_rows`] with rows to fill.
 pub(crate) fn soa_sweep(
     order: &[NodeId],
     preds: &Csr,
@@ -221,23 +261,26 @@ pub(crate) fn soa_sweep(
     sampler: &Sampler,
     seed: u64,
     range: Range<usize>,
-    rows: Option<&mut SampleRows>,
 ) -> Sweep {
     if sampler.wide {
-        sweep_rows::<u64>(order, preds, succs, sampler, seed, range, rows)
+        sweep_rows::<u64>(order, preds, succs, sampler, seed, range, None)
     } else {
-        sweep_rows::<u32>(order, preds, succs, sampler, seed, range, rows)
+        sweep_rows::<u32>(order, preds, succs, sampler, seed, range, None)
     }
 }
 
-fn sweep_rows<T: Word>(
+/// [`soa_sweep`] in an explicit row type `T`, which must be the one the
+/// sampler picked (`u64` exactly when it is wide). With `rows`, also
+/// records every sample's state there, node-major; `rows.stride` must be
+/// the range's length.
+pub(crate) fn sweep_rows<T: Word>(
     order: &[NodeId],
     preds: &Csr,
     succs: &Csr,
     sampler: &Sampler,
     seed: u64,
     range: Range<usize>,
-    mut rows: Option<&mut SampleRows>,
+    mut rows: Option<&mut LaneRows<T>>,
 ) -> Sweep {
     let n = order.len();
     // Fixed rows never change, so they are written once; drawn rows are
@@ -293,17 +336,19 @@ fn sweep_rows<T: Word>(
             hits[v] += hit;
         }
         if let Some(rows) = rows.as_deref_mut() {
-            for lane in 0..k {
-                let base = (s0 - range.start + lane) * n;
-                let c: u64 = circuit[lane].into();
-                for v in 0..n {
-                    let dv: u64 = d[v][lane].into();
-                    let f: u64 = finish[v][lane].into();
-                    let t = down[v][lane].into() - dv;
-                    rows.d[base + v] = dv;
-                    rows.finish[base + v] = f;
-                    rows.tail[base + v] = t;
-                    rows.crit[base + v] = f + t == c;
+            let first = s0 - range.start;
+            let words = crit_words(rows.stride);
+            for v in 0..n {
+                let at = v * rows.stride + first;
+                rows.d[at..at + k].copy_from_slice(&d[v][..k]);
+                rows.finish[at..at + k].copy_from_slice(&finish[v][..k]);
+                for lane in 0..k {
+                    let t = down[v][lane] - d[v][lane];
+                    rows.tail[at + lane] = t;
+                    if finish[v][lane] + t == circuit[lane] {
+                        let s = first + lane;
+                        rows.crit[v * words + s / 64] |= 1u64 << (s % 64);
+                    }
                 }
             }
         }
@@ -376,8 +421,7 @@ pub fn criticality_in<M: DelayBounds>(
     let preds = ctx.preds_csr();
     let succs = ctx.succs_csr();
     let n = g.node_count();
-    let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(g, v)).collect();
-    let sampler = Sampler::new(&bounds);
+    let sampler = Sampler::new(ctx.resolved_bounds(model).intervals());
     let probe = ctx.probe();
     probe.counter("timing.criticality.samples", samples as u64);
 
@@ -392,7 +436,7 @@ pub fn criticality_in<M: DelayBounds>(
 
     let sweep_start = Instant::now();
     let parts = par_map(par, &ranges, |_, range| {
-        soa_sweep(order, preds, succs, &sampler, seed, range.clone(), None)
+        soa_sweep(order, preds, succs, &sampler, seed, range.clone())
     });
     let sweep_ns = u64::try_from(sweep_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     probe.timer_ns("timing.criticality", sweep_ns);
@@ -551,7 +595,10 @@ mod tests {
         let fast = criticality_in(ctx, model, samples, seed, par);
         let slow = criticality_reference(ctx.graph(), model, samples, seed);
         assert_eq!(fast.delays, slow.delays, "{samples} samples, {par:?}");
-        assert_eq!(fast.criticality, slow.criticality, "{samples} samples, {par:?}");
+        assert_eq!(
+            fast.criticality, slow.criticality,
+            "{samples} samples, {par:?}"
+        );
     }
 
     #[test]
@@ -590,7 +637,10 @@ mod tests {
         let fits = [DelayInterval::new(0, max32 - 1), DelayInterval::fixed(1)];
         assert!(!Sampler::new(&fits).wide, "sum == u32::MAX keeps u32 rows");
         let spills = [DelayInterval::new(0, max32), DelayInterval::fixed(1)];
-        assert!(Sampler::new(&spills).wide, "sum == u32::MAX + 1 needs u64 rows");
+        assert!(
+            Sampler::new(&spills).wide,
+            "sum == u32::MAX + 1 needs u64 rows"
+        );
     }
 
     #[test]
@@ -668,6 +718,26 @@ mod tests {
         assert_eq!(r3.delay_quantile(0.0), 1);
         assert_eq!(r3.delay_quantile(0.5), 5);
         assert_eq!(r3.delay_quantile(1.0), 8);
+    }
+
+    #[test]
+    fn top_critical_equals_the_head_of_a_full_sort() {
+        let report = CriticalityReport {
+            criticality: vec![0.5, 0.0, 1.0, 0.5, 0.25, 1.0, 0.5, 0.0, 0.75],
+            delays: vec![1],
+            samples: 4,
+        };
+        let keep = |v: NodeId| v.index() != 5;
+        let mut all: Vec<(NodeId, f64)> = (0..9)
+            .map(NodeId::from_index)
+            .filter(|&v| keep(v))
+            .map(|v| (v, report.probability(v)))
+            .collect();
+        all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        for k in 0..10 {
+            let want: Vec<(NodeId, f64)> = all.iter().copied().take(k).collect();
+            assert_eq!(report.top_critical(k, keep), want, "k = {k}");
+        }
     }
 
     #[test]
