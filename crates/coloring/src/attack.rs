@@ -2,8 +2,7 @@
 //!
 //! Perturbations draw from [`localwm_prng::SplitMix64`] — the toolkit's
 //! canonical deterministic stream — so the same seed reproduces the same
-//! recoloring byte-for-byte on every platform. [`perturb_coloring`] is the
-//! seed-taking deprecated shim over [`perturb_coloring_with`].
+//! recoloring byte-for-byte on every platform.
 
 use localwm_prng::SplitMix64;
 
@@ -48,24 +47,6 @@ pub fn perturb_coloring_with(
     let out = Coloring::from_colors(colors);
     debug_assert!(validate_coloring(g, &out));
     (out, applied)
-}
-
-/// Seed-taking shim over [`perturb_coloring_with`].
-///
-/// # Panics
-///
-/// Panics if the input coloring is not proper for `g`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use perturb_coloring_with with a localwm_prng::SplitMix64 stream"
-)]
-pub fn perturb_coloring(
-    g: &UGraph,
-    coloring: &Coloring,
-    moves: usize,
-    seed: u64,
-) -> (Coloring, usize) {
-    perturb_coloring_with(g, coloring, moves, &mut SplitMix64::new(seed))
 }
 
 #[cfg(test)]
@@ -121,16 +102,5 @@ mod tests {
         let (p, applied) = perturb_coloring_with(&g, &c, 0, &mut rng(7));
         assert_eq!(applied, 0);
         assert_eq!(p, c);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn seed_taking_shim_matches_the_stream_entry_point() {
-        let g = UGraph::random(80, 0.08, 6);
-        let c = greedy_coloring(&g);
-        assert_eq!(
-            perturb_coloring(&g, &c, 25, 11),
-            perturb_coloring_with(&g, &c, 25, &mut rng(11))
-        );
     }
 }

@@ -36,8 +36,6 @@ mod color;
 mod graph;
 mod wm;
 
-#[allow(deprecated)]
-pub use attack::perturb_coloring;
 pub use attack::perturb_coloring_with;
 pub use color::{greedy_coloring, validate_coloring, Coloring};
 pub use graph::UGraph;

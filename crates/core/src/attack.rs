@@ -15,10 +15,8 @@
 //!
 //! All randomized models draw from [`localwm_prng::SplitMix64`], the
 //! toolkit's canonical deterministic stream: the same seed produces the
-//! same perturbation byte-for-byte on every platform. The seed-taking
-//! entry points ([`perturb_schedule`], [`reschedule`], [`reschedule_in`])
-//! remain as thin deprecated shims over the stream-taking ones; the
-//! richer budgeted attack suite lives in `localwm-attack`.
+//! same perturbation byte-for-byte on every platform. The richer
+//! budgeted attack suite lives in `localwm-attack`.
 
 use std::fmt;
 
@@ -82,31 +80,6 @@ pub fn perturb_schedule_with(
     (s, applied)
 }
 
-/// Seed-taking shim over [`perturb_schedule_with`].
-///
-/// # Panics
-///
-/// Panics if the input schedule is invalid for `g`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use perturb_schedule_with with a localwm_prng::SplitMix64 stream"
-)]
-pub fn perturb_schedule(
-    g: &Cdfg,
-    schedule: &Schedule,
-    available_steps: u32,
-    moves: usize,
-    seed: u64,
-) -> (Schedule, usize) {
-    perturb_schedule_with(
-        g,
-        schedule,
-        available_steps,
-        moves,
-        &mut SplitMix64::new(seed),
-    )
-}
-
 /// Re-synthesizes the design from scratch with a randomized priority list
 /// scheduler — the attack of re-running a different tool on the (stripped)
 /// specification. Walks in topo order, placing each op at its earliest
@@ -139,41 +112,6 @@ pub fn reschedule_with(
     }
     debug_assert!(s.validate(g).is_ok());
     Ok(s)
-}
-
-/// Seed-taking shim over [`reschedule_with`].
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-///
-/// # Panics
-///
-/// Panics if the graph is cyclic.
-#[deprecated(
-    since = "0.1.0",
-    note = "use reschedule_with with a localwm_prng::SplitMix64 stream"
-)]
-pub fn reschedule(g: &Cdfg, seed: u64) -> Result<Schedule, ScheduleError> {
-    reschedule_with(&DesignContext::from(g), &mut SplitMix64::new(seed))
-}
-
-/// Seed-taking shim over [`reschedule_with`] for a shared
-/// [`DesignContext`].
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-///
-/// # Panics
-///
-/// Panics if the graph is cyclic.
-#[deprecated(
-    since = "0.1.0",
-    note = "use reschedule_with with a localwm_prng::SplitMix64 stream"
-)]
-pub fn reschedule_in(ctx: &DesignContext, seed: u64) -> Result<Schedule, ScheduleError> {
-    reschedule_with(ctx, &mut SplitMix64::new(seed))
 }
 
 /// A degenerate input to the analytic tampering model: the typed
@@ -365,27 +303,6 @@ mod tests {
         let s2 = reschedule_with(&ctx, &mut rng(2)).unwrap();
         assert!(s1.validate(&g).is_ok());
         assert_ne!(s1, s2, "different seeds should differ");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn seed_taking_shims_match_the_stream_entry_points() {
-        let g = mediabench(&mediabench_apps()[0], 0);
-        let wm = SchedulingWatermarker::new(SchedWmConfig::default());
-        let emb = wm.embed(&g, &Signature::from_author("shim")).unwrap();
-        let via_shim = perturb_schedule(&g, &emb.schedule, emb.available_steps, 40, 9);
-        let via_stream =
-            perturb_schedule_with(&g, &emb.schedule, emb.available_steps, 40, &mut rng(9));
-        assert_eq!(via_shim, via_stream);
-        let ctx = DesignContext::from(&g);
-        assert_eq!(
-            reschedule(&g, 4).unwrap(),
-            reschedule_with(&ctx, &mut rng(4)).unwrap()
-        );
-        assert_eq!(
-            reschedule_in(&ctx, 4).unwrap(),
-            reschedule_with(&ctx, &mut rng(4)).unwrap()
-        );
     }
 
     #[test]

@@ -2,17 +2,100 @@
 
 use localwm_cdfg::{Cdfg, Csr, NodeId};
 
+use crate::patch::{patch_sweep, Sweep};
 use crate::{DelayBounds, DelayInterval};
 
 /// Per-node arrival (finish-time) intervals and the circuit-level critical
-/// path interval computed under a bounded delay model.
+/// path interval computed under a bounded delay model, with each node's
+/// worst-case tail for the slack test.
 #[derive(Debug, Clone)]
 pub struct BoundedArrival {
     /// Finish-time interval of each node, indexed by `NodeId::index`.
     pub finish: Vec<DelayInterval>,
+    /// Longest all-max delay path strictly below each node: `max` over
+    /// successors `s` of `hi(s) + tail[s]`, `0` at sinks. It depends on
+    /// the graph and the bounds only, not on the circuit delay.
+    pub tail: Vec<u64>,
     /// Interval containing the true critical path for every delay
     /// assignment consistent with the model.
     pub critical_path: DelayInterval,
+}
+
+impl BoundedArrival {
+    /// Nodes that are *possibly critical*, in id order: nodes whose
+    /// worst-case slack is zero, i.e. that lie on a path achieving the
+    /// upper critical-path bound.
+    ///
+    /// The required time of `v` under the all-max assignment is
+    /// `critical_path.hi − tail[v]`, so `v` has zero slack iff
+    /// `finish[v].hi + tail[v] == critical_path.hi` (the sum is the
+    /// longest path through `v`, never above the circuit delay).
+    pub fn possibly_critical(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let hi = self.critical_path.hi;
+        (self.finish.iter().zip(&self.tail).enumerate())
+            .filter(move |(_, (f, &t))| f.hi + t == hi)
+            .map(|(v, _)| NodeId::from_index(v))
+    }
+
+    /// Re-derives finish times and tails after an edit that touched
+    /// `seeds` (new nodes included, with placeholder values), over the
+    /// post-edit CSR views; see [`patch_sweep`]. Returns `false` past
+    /// `limit` re-derivations in either direction, leaving `self`
+    /// part-updated.
+    pub(crate) fn patch(
+        &mut self,
+        order: &[NodeId],
+        preds: &Csr,
+        succs: &Csr,
+        bounds: &[DelayInterval],
+        seeds: &[NodeId],
+        limit: usize,
+    ) -> bool {
+        let (finish, tail) = (&mut self.finish, &mut self.tail);
+        if !patch_sweep(preds, succs, seeds, Sweep::Forward, limit, |p| {
+            let u = order[p].index();
+            let f = arrival(finish, preds.row(p), bounds[u]);
+            std::mem::replace(&mut finish[u], f) != f
+        }) {
+            return false;
+        }
+        if !patch_sweep(preds, succs, seeds, Sweep::Backward, limit, |p| {
+            let t = hi_tail(tail, bounds, succs.row(p));
+            std::mem::replace(&mut tail[order[p].index()], t) != t
+        }) {
+            return false;
+        }
+        self.critical_path = circuit(finish);
+        true
+    }
+}
+
+/// Finish interval of a node with delay `d` whose predecessors are `row`.
+#[inline]
+fn arrival(finish: &[DelayInterval], row: &[u32], d: DelayInterval) -> DelayInterval {
+    let (mut lo, mut hi) = (0u64, 0u64);
+    for &pi in row {
+        let f = finish[pi as usize];
+        lo = lo.max(f.lo);
+        hi = hi.max(f.hi);
+    }
+    DelayInterval::new(lo + d.lo, hi + d.hi)
+}
+
+/// Hi-tail of a node whose successors are `row`.
+#[inline]
+fn hi_tail(tail: &[u64], bounds: &[DelayInterval], row: &[u32]) -> u64 {
+    row.iter()
+        .map(|&si| bounds[si as usize].hi + tail[si as usize])
+        .max()
+        .unwrap_or(0)
+}
+
+/// The circuit interval: the endpoint-wise maximum finish.
+fn circuit(finish: &[DelayInterval]) -> DelayInterval {
+    finish.iter().fold(DelayInterval::fixed(0), |cp, f| {
+        DelayInterval::new(cp.lo.max(f.lo), cp.hi.max(f.hi))
+    })
 }
 
 /// Propagates arrival intervals through the DAG.
@@ -39,68 +122,43 @@ pub struct BoundedArrival {
 /// ```
 pub fn bounded_arrival<M: DelayBounds + ?Sized>(g: &Cdfg, model: &M) -> BoundedArrival {
     let order = g.topo_order().expect("bounded arrival requires a DAG");
-    bounded_arrival_with_order(g, &order, model)
-}
-
-/// [`bounded_arrival`] over a precomputed topological order (the memoized
-/// [`DesignContext`](crate::DesignContext) path).
-pub fn bounded_arrival_with_order<M: DelayBounds + ?Sized>(
-    g: &Cdfg,
-    order: &[NodeId],
-    model: &M,
-) -> BoundedArrival {
-    let mut finish = vec![DelayInterval::fixed(0); g.node_count()];
-    let mut cp = DelayInterval::fixed(0);
-    for &u in order {
-        let mut in_lo = 0u64;
-        let mut in_hi = 0u64;
-        for p in g.preds(u) {
-            in_lo = in_lo.max(finish[p.index()].lo);
-            in_hi = in_hi.max(finish[p.index()].hi);
-        }
-        let d = model.bounds(g, u);
-        let f = DelayInterval::new(in_lo + d.lo, in_hi + d.hi);
-        finish[u.index()] = f;
-        cp = DelayInterval::new(cp.lo.max(f.lo), cp.hi.max(f.hi));
-    }
-    BoundedArrival {
-        finish,
-        critical_path: cp,
-    }
+    let bounds: Vec<DelayInterval> = g.node_ids().map(|n| model.bounds(g, n)).collect();
+    bounded_arrival_with_csr(
+        &order,
+        &Csr::preds(g, &order),
+        &Csr::succs(g, &order),
+        &bounds,
+    )
 }
 
 /// [`bounded_arrival`] over the flat CSR hot path: per-node delay bounds
-/// come from a precomputed table and predecessors from a packed
-/// [`Csr`](localwm_cdfg::Csr) view, so the sweep touches two flat arrays
-/// instead of chasing `EdgeId → Option<Edge>` indirections.
+/// (in node-id order) come from a precomputed table and neighbours from
+/// packed [`Csr`] views, one forward pass for finish times and one
+/// backward pass for tails.
 ///
-/// `order` and `preds` must come from the same topological order (the
-/// memoized [`DesignContext`](crate::DesignContext) guarantees this).
-/// Produces bit-identical results to [`bounded_arrival_with_order`] with an
-/// equivalent model: `max` is insensitive to neighbor enumeration order.
+/// `order`, `preds` and `succs` must come from the same topological order
+/// (the memoized [`DesignContext`](crate::DesignContext) guarantees this).
+/// The result does not depend on which topological order carries it:
+/// `max` is insensitive to neighbour enumeration order.
 pub fn bounded_arrival_with_csr(
     order: &[NodeId],
     preds: &Csr,
+    succs: &Csr,
     bounds: &[DelayInterval],
 ) -> BoundedArrival {
-    let mut finish = vec![DelayInterval::fixed(0); order.len()];
-    let mut cp = DelayInterval::fixed(0);
+    let n = order.len();
+    let mut finish = vec![DelayInterval::fixed(0); n];
     for (p, &u) in order.iter().enumerate() {
-        let mut in_lo = 0u64;
-        let mut in_hi = 0u64;
-        for &pi in preds.row(p) {
-            let f = finish[pi as usize];
-            in_lo = in_lo.max(f.lo);
-            in_hi = in_hi.max(f.hi);
-        }
-        let d = bounds[u.index()];
-        let f = DelayInterval::new(in_lo + d.lo, in_hi + d.hi);
-        finish[u.index()] = f;
-        cp = DelayInterval::new(cp.lo.max(f.lo), cp.hi.max(f.hi));
+        finish[u.index()] = arrival(&finish, preds.row(p), bounds[u.index()]);
+    }
+    let mut tail = vec![0u64; n];
+    for p in (0..n).rev() {
+        tail[order[p].index()] = hi_tail(&tail, bounds, succs.row(p));
     }
     BoundedArrival {
+        critical_path: circuit(&finish),
         finish,
-        critical_path: cp,
+        tail,
     }
 }
 
@@ -109,76 +167,13 @@ pub fn bounded_critical_path<M: DelayBounds + ?Sized>(g: &Cdfg, model: &M) -> De
     bounded_arrival(g, model).critical_path
 }
 
-/// Nodes that are *possibly critical*: nodes whose worst-case slack is zero,
-/// i.e. that lie on a path achieving the upper critical-path bound.
+/// Nodes that are *possibly critical* under `model`
+/// ([`BoundedArrival::possibly_critical`]).
 ///
 /// Every node that is critical under **some** consistent delay assignment
 /// with circuit delay equal to `critical_path.hi` is included.
 pub fn possibly_critical<M: DelayBounds + ?Sized>(g: &Cdfg, model: &M) -> Vec<NodeId> {
-    let order = g.topo_order().expect("possibly_critical requires a DAG");
-    let arr = bounded_arrival_with_order(g, &order, model);
-    possibly_critical_with_arrival(g, &order, model, &arr)
-}
-
-/// [`possibly_critical`] over a precomputed topological order and arrival
-/// analysis (the memoized [`DesignContext`](crate::DesignContext) path).
-pub fn possibly_critical_with_arrival<M: DelayBounds + ?Sized>(
-    g: &Cdfg,
-    order: &[NodeId],
-    model: &M,
-    arr: &BoundedArrival,
-) -> Vec<NodeId> {
-    // Required (latest) finish times under the all-max assignment.
-    let mut required = vec![u64::MAX; g.node_count()];
-    for &u in order.iter().rev() {
-        let r = if g.succs(u).next().is_none() {
-            arr.critical_path.hi
-        } else {
-            required[u.index()]
-        };
-        required[u.index()] = required[u.index()].min(r);
-        let d = model.bounds(g, u);
-        let start_latest = r - d.hi;
-        for p in g.preds(u) {
-            required[p.index()] = required[p.index()].min(start_latest);
-        }
-    }
-    g.node_ids()
-        .filter(|&n| arr.finish[n.index()].hi >= required[n.index()])
-        .collect()
-}
-
-/// [`possibly_critical_with_arrival`] over the flat CSR hot path: the
-/// backward required-time sweep reads packed predecessor/successor rows and
-/// a precomputed bounds table. Bit-identical to the iterator-based variant
-/// (only `min`/`max` reductions and an order-insensitive filter).
-pub fn possibly_critical_with_csr(
-    order: &[NodeId],
-    preds: &Csr,
-    succs: &Csr,
-    bounds: &[DelayInterval],
-    arr: &BoundedArrival,
-) -> Vec<NodeId> {
-    let n = order.len();
-    let mut required = vec![u64::MAX; n];
-    for p in (0..n).rev() {
-        let u = order[p];
-        let r = if succs.row(p).is_empty() {
-            arr.critical_path.hi
-        } else {
-            required[u.index()]
-        };
-        required[u.index()] = required[u.index()].min(r);
-        let start_latest = r - bounds[u.index()].hi;
-        for &pi in preds.row(p) {
-            let slot = &mut required[pi as usize];
-            *slot = (*slot).min(start_latest);
-        }
-    }
-    (0..n)
-        .map(NodeId::from_index)
-        .filter(|&v| arr.finish[v.index()].hi >= required[v.index()])
-        .collect()
+    bounded_arrival(g, model).possibly_critical().collect()
 }
 
 #[cfg(test)]

@@ -7,11 +7,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use localwm_cdfg::{analysis, Cdfg, CdfgError, Csr, EdgeId, NodeId, TopoError};
 
-use crate::bounded::{bounded_arrival_with_csr, possibly_critical_with_csr, BoundedArrival};
+use crate::bounded::{bounded_arrival_with_csr, BoundedArrival};
 use crate::delay::{checked_hi_sum, DelayBounds, DelayInterval, KindBounds};
 use crate::editor::{DesignEditor, EditLog, EditRecord};
 use crate::probe::{NoopProbe, Probe};
-use crate::unit::{cone_positions, UnitTiming};
+use crate::unit::UnitTiming;
 
 /// Error from a fallible context query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,8 +110,8 @@ impl ResolvedBounds {
     }
 
     /// The fingerprint of the intervals: models that assign the same
-    /// intervals share it, and the arrival and possibly-critical caches
-    /// are keyed by it. Hashed on first use.
+    /// intervals share it, and the arrival cache is keyed by it. Hashed on
+    /// first use.
     pub fn key(&self) -> u64 {
         *self.key.get_or_init(|| fingerprint(&self.intervals))
     }
@@ -194,7 +194,6 @@ struct Caches {
     fanin: Mutex<FaninCache>,
     bounded: Mutex<HashMap<u64, Arc<BoundedArrival>>>,
     stale_bounded: Mutex<Vec<StaleArrival>>,
-    possibly: Mutex<HashMap<u64, Arc<Vec<NodeId>>>>,
     resolved: Mutex<Vec<(KindBounds, Arc<ResolvedBounds>)>>,
     content: OnceLock<u64>,
 }
@@ -232,7 +231,6 @@ pub struct DesignContext {
     probe: Arc<dyn Probe>,
     caches: Caches,
     dirty: DirtyHistory,
-    cone_limit: Option<usize>,
 }
 
 impl fmt::Debug for DesignContext {
@@ -253,7 +251,6 @@ impl DesignContext {
             probe: Arc::new(NoopProbe),
             caches: Caches::default(),
             dirty: DirtyHistory::default(),
-            cone_limit: None,
         }
     }
 
@@ -329,39 +326,12 @@ impl DesignContext {
         Some(set.into_iter().collect())
     }
 
-    /// The dirty-cone size threshold: patches recompute at most this many
-    /// nodes before falling back to a full rebuild. Defaults to
-    /// `max(64, V / 2)` — past half the graph, a cone sweep stops paying
-    /// for its bookkeeping.
+    /// The patch work threshold: an incremental patch re-derives at most
+    /// this many nodes per direction before falling back to a full
+    /// rebuild. `max(64, V / 2)` — past half the graph, a patch stops
+    /// paying for its worklist.
     pub fn cone_limit(&self) -> usize {
-        self.cone_limit
-            .unwrap_or_else(|| (self.graph.node_count() / 2).max(64))
-    }
-
-    /// Overrides the dirty-cone threshold (`None` restores the default).
-    /// Tests use tiny limits to force the full-rebuild fallback.
-    pub fn set_cone_limit(&mut self, limit: Option<usize>) {
-        self.cone_limit = limit;
-    }
-
-    /// The forward (fan-out) cone of `seeds` as row positions in the
-    /// memoized topological order, ascending; `None` if the cone exceeds
-    /// `limit` nodes or the graph is cyclic.
-    pub fn forward_cone_within(&self, seeds: &[NodeId], limit: usize) -> Option<Vec<usize>> {
-        self.try_topo().ok()?;
-        let (preds, succs) = self.csr_pair();
-        cone_positions(preds, succs, seeds, limit, false)
-    }
-
-    /// The backward (fan-in) cone of `seeds` as row positions in the
-    /// memoized topological order, ascending; `None` if the cone exceeds
-    /// `limit` nodes or the graph is cyclic. The ancestor closure of an
-    /// edit: every node whose backward-looking analysis results (required
-    /// times, slack) can move when only `seeds` changed.
-    pub fn backward_cone_within(&self, seeds: &[NodeId], limit: usize) -> Option<Vec<usize>> {
-        self.try_topo().ok()?;
-        let (preds, succs) = self.csr_pair();
-        cone_positions(preds, succs, seeds, limit, true)
+        (self.graph.node_count() / 2).max(64)
     }
 
     /// The memoized topological order (deterministic lowest-id-first).
@@ -547,10 +517,11 @@ impl DesignContext {
     /// [`DesignContext::resolved_bounds`]'s memo, so a hit does not walk the
     /// graph. A miss first probes the stale store: a result displaced by
     /// recent mutations whose surviving-node bounds are provably unchanged
-    /// (prefix fingerprint match) is **patched** — only the dirty fan-out
-    /// cone is re-swept, seeded with the cached frontier values — instead
-    /// of recomputed, when the cone fits [`DesignContext::cone_limit`].
-    /// Patched results are byte-identical to from-scratch ones.
+    /// (prefix fingerprint match) is **patched** — finish times and tails
+    /// are re-derived outward from the dirty nodes only where they change
+    /// ([`patch_sweep`](crate::patch_sweep)) — instead of recomputed, when
+    /// the work fits [`DesignContext::cone_limit`]. Patched results are
+    /// byte-identical to from-scratch ones.
     ///
     /// # Panics
     ///
@@ -583,28 +554,25 @@ impl DesignContext {
         }
         self.probe.counter("engine.bounded.miss", 1);
         let order = self.topo();
-        let (preds, _) = self.csr_pair();
-        let arr = Arc::new(bounded_arrival_with_csr(order, preds, bounds));
+        let (preds, succs) = self.csr_pair();
+        let arr = Arc::new(bounded_arrival_with_csr(order, preds, succs, bounds));
         cache.insert(key, Arc::clone(&arr));
         arr
     }
 
     /// Tries to derive the arrival analysis for `bounds` by patching a
-    /// stale entry: re-sweep only the dirty forward cone on top of the
-    /// cached finish values. Newest entries are probed first. `key` is
-    /// the fingerprint of all of `bounds`.
+    /// stale entry where its values change. Newest entries are probed
+    /// first, and the one that matches is taken out of the store (an older
+    /// one would only have more to patch). `key` is the fingerprint of all
+    /// of `bounds`.
     fn patch_stale_bounded(&self, bounds: &[DelayInterval], key: u64) -> Option<BoundedArrival> {
-        let order = match self.try_topo() {
-            Ok(o) => o,
-            Err(_) => return None,
-        };
-        let limit = self.cone_limit();
-        let stale = self
+        let order = self.try_topo().ok()?;
+        let mut stale = self
             .caches
             .stale_bounded
             .lock()
             .expect("stale bounded lock");
-        for entry in stale.iter().rev() {
+        let (i, seeds) = stale.iter().enumerate().rev().find_map(|(i, entry)| {
             // The prefix fingerprint proves every pre-existing node kept
             // its interval (bounds are in node-id order and ids are
             // append-only). Structure-sensitive models (DynamicBounds) fail
@@ -613,48 +581,21 @@ impl DesignContext {
             let prefix_key = match entry.len.cmp(&bounds.len()) {
                 std::cmp::Ordering::Equal => key,
                 std::cmp::Ordering::Less => fingerprint(&bounds[..entry.len]),
-                std::cmp::Ordering::Greater => continue,
+                std::cmp::Ordering::Greater => return None,
             };
             if prefix_key != entry.key {
-                continue;
+                return None;
             }
-            let Some(mut seeds) = self.dirty_since(entry.generation) else {
-                continue;
-            };
-            for i in entry.len..bounds.len() {
-                seeds.push(NodeId::from_index(i));
-            }
-            let (preds, succs) = self.csr_pair();
-            let Some(cone) = cone_positions(preds, succs, &seeds, limit, false) else {
-                continue;
-            };
-            let mut finish = entry.arr.finish.clone();
-            finish.resize(bounds.len(), DelayInterval::fixed(0));
-            // Ascending topo positions: cone nodes read either earlier
-            // cone nodes (already final) or untouched nodes (still exact) —
-            // the same recurrence `bounded_arrival_with_csr` runs, applied
-            // to the subset that could have moved.
-            for &p in &cone {
-                let u = order[p].index();
-                let mut in_lo = 0u64;
-                let mut in_hi = 0u64;
-                for &pi in preds.row(p) {
-                    in_lo = in_lo.max(finish[pi as usize].lo);
-                    in_hi = in_hi.max(finish[pi as usize].hi);
-                }
-                let d = bounds[u];
-                finish[u] = DelayInterval::new(in_lo + d.lo, in_hi + d.hi);
-            }
-            let mut cp = DelayInterval::fixed(0);
-            for f in &finish {
-                cp = DelayInterval::new(cp.lo.max(f.lo), cp.hi.max(f.hi));
-            }
-            return Some(BoundedArrival {
-                finish,
-                critical_path: cp,
-            });
-        }
-        None
+            let mut seeds = self.dirty_since(entry.generation)?;
+            seeds.extend((entry.len..bounds.len()).map(NodeId::from_index));
+            Some((i, seeds))
+        })?;
+        let mut arr = Arc::unwrap_or_clone(stale.remove(i).arr);
+        arr.finish.resize(bounds.len(), DelayInterval::fixed(0));
+        arr.tail.resize(bounds.len(), 0);
+        let (preds, succs) = self.csr_pair();
+        arr.patch(order, preds, succs, bounds, &seeds, self.cone_limit())
+            .then_some(arr)
     }
 
     /// The memoized circuit critical-path interval under `model`.
@@ -666,56 +607,25 @@ impl DesignContext {
         self.bounded_arrival(model).critical_path
     }
 
-    /// Nodes possibly critical under `model` (zero worst-case slack),
-    /// reusing the memoized arrival analysis.
+    /// Nodes possibly critical under `model` (zero worst-case slack), in
+    /// id order: a filter over the memoized arrival analysis, whose tails
+    /// make the slack test one comparison per node
+    /// ([`BoundedArrival::possibly_critical`]).
     ///
     /// # Panics
     ///
     /// Panics if the graph is cyclic.
     pub fn possibly_critical<M: DelayBounds + ?Sized>(&self, model: &M) -> Vec<NodeId> {
-        (*self.possibly_critical_shared(model)).clone()
+        self.bounded_arrival(model).possibly_critical().collect()
     }
 
-    /// [`DesignContext::possibly_critical`] as a shared, memoized set:
-    /// repeated queries under the same model (the serve hot path asks per
-    /// request) hit the cache and pay one `Arc` clone instead of a full
-    /// slack sweep. Keyed by the same per-node bounds fingerprint as the
-    /// arrival cache; invalidated by mutation alongside it.
+    /// [`DesignContext::possibly_critical`] as a shared set.
     ///
     /// # Panics
     ///
     /// Panics if the graph is cyclic.
     pub fn possibly_critical_shared<M: DelayBounds + ?Sized>(&self, model: &M) -> Arc<Vec<NodeId>> {
-        let r = self.resolved_bounds(model);
-        self.possibly_critical_keyed(r.key(), r.intervals())
-    }
-
-    /// [`DesignContext::possibly_critical_shared`] for the intervals
-    /// `bounds`, whose fingerprint is `key`.
-    fn possibly_critical_keyed(&self, key: u64, bounds: &[DelayInterval]) -> Arc<Vec<NodeId>> {
-        {
-            let cache = self.caches.possibly.lock().expect("possibly cache lock");
-            if let Some(set) = cache.get(&key) {
-                self.probe.counter("engine.possibly.hit", 1);
-                return Arc::clone(set);
-            }
-        }
-        self.probe.counter("engine.possibly.miss", 1);
-        let arr = self.bounded_arrival_keyed(key, bounds);
-        let (preds, succs) = self.csr_pair();
-        let set = Arc::new(possibly_critical_with_csr(
-            self.topo(),
-            preds,
-            succs,
-            bounds,
-            &arr,
-        ));
-        self.caches
-            .possibly
-            .lock()
-            .expect("possibly cache lock")
-            .insert(key, Arc::clone(&set));
-        set
+        Arc::new(self.possibly_critical(model))
     }
 
     /// `model`'s per-node intervals over the current graph, with their
@@ -785,7 +695,7 @@ impl DesignContext {
     ///   out from the dirty nodes ([`UnitTiming::cone_update`]), falling
     ///   back to a lazy full rebuild past [`DesignContext::cone_limit`];
     /// * moves bounded-arrival results into a stale store from which later
-    ///   queries patch just the dirty cone (see
+    ///   queries patch them where values change (see
     ///   [`DesignContext::bounded_arrival`]);
     /// * records the dirty set for [`DesignContext::dirty_since`].
     ///
@@ -874,11 +784,6 @@ impl DesignContext {
         self.caches.windows.get_mut().expect("windows lock").clear();
         self.caches.levels.get_mut().expect("levels lock").clear();
         self.caches.fanin.get_mut().expect("fanin lock").clear();
-        self.caches
-            .possibly
-            .get_mut()
-            .expect("possibly lock")
-            .clear();
         // Per-kind intervals move only when a node arrives.
         if self.graph.node_count() != old_len {
             self.caches

@@ -10,10 +10,13 @@
 //!   lazily-computed, memoized analyses and generation-counted invalidation
 //!   on mutation. The single source of truth for derived graph facts.
 //! * [`UnitTiming`] — the unit-delay (control-step) timing substrate:
-//!   ASAP/ALAP steps, laxity, mobility windows, incremental edge updates.
+//!   ASAP/ALAP steps, laxity, mobility windows.
 //! * [`DelayBounds`] / [`bounded_arrival`] — interval ("bounded delay")
 //!   critical-path analysis, including the input-dependent
 //!   [`DynamicBounds`] model.
+//! * [`patch_sweep`] — the one incremental sweep every patched analysis
+//!   runs on: re-derive outward from an edit, in topological order, only
+//!   where values change.
 //! * [`Probe`] — dependency-free instrumentation hooks (counters, timers,
 //!   events) with a JSON-dumpable [`RecordingProbe`].
 //! * [`Parallelism`] / [`par_map`] — deterministic, order-preserving
@@ -46,6 +49,7 @@ mod context;
 mod delay;
 mod editor;
 mod par;
+mod patch;
 mod pool;
 mod probe;
 mod unit;
@@ -53,13 +57,14 @@ mod unit;
 #[cfg(feature = "alloc-count")]
 pub use allocstats::{alloc_stats, AllocStats, CountingAlloc};
 pub use bounded::{
-    bounded_arrival, bounded_arrival_with_csr, bounded_arrival_with_order, bounded_critical_path,
-    possibly_critical, possibly_critical_with_arrival, possibly_critical_with_csr, BoundedArrival,
+    bounded_arrival, bounded_arrival_with_csr, bounded_critical_path, possibly_critical,
+    BoundedArrival,
 };
 pub use context::{DesignContext, EngineError, ResolvedBounds, WindowTable};
 pub use delay::{checked_hi_sum, DelayBounds, DelayInterval, DynamicBounds, KindBounds};
 pub use editor::DesignEditor;
 pub use par::{par_map, Parallelism};
+pub use patch::{patch_sweep, Sweep};
 pub use pool::{pool_stats, set_pool_threads, PoolStats};
 pub use probe::{timed, NoopProbe, Probe, RecordingProbe};
 pub use unit::UnitTiming;

@@ -1,9 +1,8 @@
 //! Unit-delay (control-step) timing.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use localwm_cdfg::{Cdfg, Csr, NodeId};
+
+use crate::patch::{patch_sweep, Sweep};
 
 /// Control-step timing of a CDFG under the homogeneous SDF model: every
 /// schedulable operation takes exactly one control step; inputs, constants
@@ -53,37 +52,7 @@ impl UnitTiming {
     /// Panics if the graph is cyclic.
     pub fn new(g: &Cdfg) -> Self {
         let order = g.topo_order().expect("timing requires a DAG");
-        Self::with_order(g, &order)
-    }
-
-    /// Builds timing for a graph whose topological order is already known
-    /// (the memoized [`DesignContext`](crate::DesignContext) path).
-    pub fn with_order(g: &Cdfg, order: &[NodeId]) -> Self {
-        let n = g.node_count();
-        let mut depth = vec![0u32; n];
-        let mut tail = vec![0u32; n];
-        for &u in order {
-            let here = depth[u.index()] + u32::from(g.kind(u).is_schedulable());
-            depth[u.index()] = here;
-            for v in g.succs(u) {
-                depth[v.index()] = depth[v.index()].max(here);
-            }
-        }
-        for &u in order.iter().rev() {
-            let mut best = 0;
-            for v in g.succs(u) {
-                best = best.max(tail[v.index()]);
-            }
-            tail[u.index()] = best + u32::from(g.kind(u).is_schedulable());
-        }
-        let critical_path = depth.iter().copied().max().unwrap_or(0);
-        let schedulable = g.node_ids().map(|id| g.kind(id).is_schedulable()).collect();
-        UnitTiming {
-            depth,
-            tail,
-            schedulable,
-            critical_path,
-        }
+        Self::with_csr(g, &order, &Csr::preds(g, &order), &Csr::succs(g, &order))
     }
 
     /// Builds timing over packed CSR adjacency — the flat hot path used by
@@ -92,27 +61,19 @@ impl UnitTiming {
     /// order, so both passes stream the packed neighbor arrays instead of
     /// dereferencing `EdgeId → Option<Edge>` per neighbor.
     ///
-    /// Bit-identical to [`UnitTiming::with_order`]: the recurrences are
-    /// `max` reductions, insensitive to neighbor enumeration order.
+    /// The recurrences are `max` reductions, insensitive to neighbor
+    /// enumeration order, so any topological order gives the same result.
     pub fn with_csr(g: &Cdfg, order: &[NodeId], preds: &Csr, succs: &Csr) -> Self {
         let n = g.node_count();
         let schedulable: Vec<bool> = g.node_ids().map(|id| g.kind(id).is_schedulable()).collect();
         let mut depth = vec![0u32; n];
         let mut tail = vec![0u32; n];
         for (p, &u) in order.iter().enumerate() {
-            let mut best = 0;
-            for &pi in preds.row(p) {
-                best = best.max(depth[pi as usize]);
-            }
-            depth[u.index()] = best + u32::from(schedulable[u.index()]);
+            depth[u.index()] = chain(&depth, preds.row(p), schedulable[u.index()]);
         }
         for p in (0..n).rev() {
-            let u = order[p];
-            let mut best = 0;
-            for &si in succs.row(p) {
-                best = best.max(tail[si as usize]);
-            }
-            tail[u.index()] = best + u32::from(schedulable[u.index()]);
+            let u = order[p].index();
+            tail[u] = chain(&tail, succs.row(p), schedulable[u]);
         }
         let critical_path = depth.iter().copied().max().unwrap_or(0);
         UnitTiming {
@@ -183,53 +144,21 @@ impl UnitTiming {
             && self.asap(b) <= self.alap(a, available_steps)
     }
 
-    /// Incrementally updates timing after a precedence edge `src -> dst`
-    /// was added to `g` (the graph must already contain the edge).
-    ///
-    /// Only the affected cones are re-relaxed; worst case `O(V + E)`, but
-    /// typically far less for watermark edges between slack-rich nodes.
-    pub fn add_edge_update(&mut self, g: &Cdfg, src: NodeId, dst: NodeId) {
-        // Forward: push depth from src through dst's fanout cone.
-        let mut stack = vec![dst];
-        while let Some(u) = stack.pop() {
-            let incoming = g.preds(u).map(|p| self.depth[p.index()]).max().unwrap_or(0);
-            let new_depth = incoming + u32::from(g.kind(u).is_schedulable());
-            if new_depth > self.depth[u.index()] {
-                self.depth[u.index()] = new_depth;
-                self.critical_path = self.critical_path.max(new_depth);
-                stack.extend(g.succs(u));
-            }
-        }
-        // Backward: push tail from dst through src's fanin cone.
-        let mut stack = vec![src];
-        while let Some(u) = stack.pop() {
-            let outgoing = g.succs(u).map(|s| self.tail[s.index()]).max().unwrap_or(0);
-            let new_tail = outgoing + u32::from(g.kind(u).is_schedulable());
-            if new_tail > self.tail[u.index()] {
-                self.tail[u.index()] = new_tail;
-                stack.extend(g.preds(u));
-            }
-        }
-    }
-
     /// Re-derives depths and tails after an arbitrary batch of structural
-    /// edits (node adds, edge adds *and* removals — unlike the monotone
-    /// [`UnitTiming::add_edge_update`], values may decrease), starting at
-    /// `seeds`, the nodes the edits touched.
+    /// edits (node adds, edge adds and removals, so values may fall as well
+    /// as rise), starting at `seeds`, the nodes the edits touched.
     ///
     /// `order`, `preds` and `succs` must reflect the **post-edit** graph
     /// (the context patches its CSR views first); new nodes must sit at the
-    /// tail of `order` in id order. Returns `false` once either worklist
+    /// tail of `order` in id order. Returns `false` once either direction
     /// has re-derived more than `limit` nodes; `self` is then part-updated
     /// and the caller must discard it and rebuild.
     ///
-    /// Value-driven and exact: a node's depth is a function of its
-    /// predecessors' depths, so only a node whose predecessor *changed*
-    /// (or a seed, whose predecessor set did) can change. Depths are
-    /// re-derived in ascending topo position from a worklist that a
-    /// re-derive feeds with its successors only when its value moved, so
-    /// every depth it reads is already final — precisely what
-    /// [`UnitTiming::with_csr`] would compute (symmetrically for tails).
+    /// Value-driven and exact ([`patch_sweep`]): depths re-derive forward
+    /// and tails backward, and a node's neighbours are re-derived only
+    /// when its value moved — precisely what [`UnitTiming::with_csr`]
+    /// would compute. The critical path is raised by a larger depth and
+    /// rescanned only when a depth that held it dropped.
     pub fn cone_update(
         &mut self,
         g: &Cdfg,
@@ -248,133 +177,44 @@ impl UnitTiming {
                     .push(g.kind(NodeId::from_index(i)).is_schedulable());
             }
         }
-        let mut queued = vec![false; n];
-        let mut popped = 0usize;
+        let UnitTiming {
+            depth,
+            tail,
+            schedulable,
+            critical_path,
+        } = self;
         let mut rescan = false;
-        let mut fwd: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(seeds.len());
-        for &s in seeds {
-            let p = preds.position(s);
-            if !queued[p] {
-                queued[p] = true;
-                fwd.push(Reverse(p));
-            }
-        }
-        while let Some(Reverse(p)) = fwd.pop() {
-            popped += 1;
-            if popped > limit {
-                return false;
-            }
-            queued[p] = false;
+        let forward = patch_sweep(preds, succs, seeds, Sweep::Forward, limit, |p| {
             let u = order[p].index();
-            let best = preds
-                .row(p)
-                .iter()
-                .map(|&pi| self.depth[pi as usize])
-                .max()
-                .unwrap_or(0);
-            let depth = best + u32::from(self.schedulable[u]);
-            let old = self.depth[u];
-            if depth == old {
-                continue;
-            }
-            // The critical path is the maximum depth: a depth above it
-            // raises it, and one that held it and dropped forces a rescan.
-            if depth > self.critical_path {
-                self.critical_path = depth;
-            } else if old == self.critical_path && depth < old {
+            let new = chain(depth, preds.row(p), schedulable[u]);
+            let old = std::mem::replace(&mut depth[u], new);
+            if new > *critical_path {
+                *critical_path = new;
+            } else if new < old && old == *critical_path {
                 rescan = true;
             }
-            self.depth[u] = depth;
-            for &si in succs.row(p) {
-                let sp = succs.position(NodeId::from_index(si as usize));
-                if !queued[sp] {
-                    queued[sp] = true;
-                    fwd.push(Reverse(sp));
-                }
-            }
+            new != old
+        });
+        if !forward {
+            return false;
         }
         if rescan {
-            self.critical_path = self.depth.iter().copied().max().unwrap_or(0);
+            *critical_path = depth.iter().copied().max().unwrap_or(0);
         }
-        popped = 0;
-        let mut bwd: BinaryHeap<usize> = BinaryHeap::with_capacity(seeds.len());
-        for &s in seeds {
-            let p = preds.position(s);
-            if !queued[p] {
-                queued[p] = true;
-                bwd.push(p);
-            }
-        }
-        while let Some(p) = bwd.pop() {
-            popped += 1;
-            if popped > limit {
-                return false;
-            }
-            queued[p] = false;
+        patch_sweep(preds, succs, seeds, Sweep::Backward, limit, |p| {
             let u = order[p].index();
-            let best = succs
-                .row(p)
-                .iter()
-                .map(|&si| self.tail[si as usize])
-                .max()
-                .unwrap_or(0);
-            let tail = best + u32::from(self.schedulable[u]);
-            if tail == self.tail[u] {
-                continue;
-            }
-            self.tail[u] = tail;
-            for &pi in preds.row(p) {
-                let pp = preds.position(NodeId::from_index(pi as usize));
-                if !queued[pp] {
-                    queued[pp] = true;
-                    bwd.push(pp);
-                }
-            }
-        }
-        true
+            let new = chain(tail, succs.row(p), schedulable[u]);
+            std::mem::replace(&mut tail[u], new) != new
+        })
     }
 }
 
-/// The reachable row positions from `seeds` (inclusive), walking successor
-/// rows (`backward == false`) or predecessor rows (`backward == true`),
-/// sorted ascending. `None` once the cone exceeds `limit`.
-pub(crate) fn cone_positions(
-    preds: &Csr,
-    succs: &Csr,
-    seeds: &[NodeId],
-    limit: usize,
-    backward: bool,
-) -> Option<Vec<usize>> {
-    let step = if backward { preds } else { succs };
-    let mut seen = vec![false; step.rows()];
-    let mut stack = Vec::with_capacity(seeds.len());
-    let mut cone = Vec::new();
-    for &s in seeds {
-        let p = step.position(s);
-        if !seen[p] {
-            seen[p] = true;
-            stack.push(p);
-            cone.push(p);
-        }
-    }
-    while let Some(p) = stack.pop() {
-        if cone.len() > limit {
-            return None;
-        }
-        for &ni in step.row(p) {
-            let np = step.position(NodeId::from_index(ni as usize));
-            if !seen[np] {
-                seen[np] = true;
-                stack.push(np);
-                cone.push(np);
-            }
-        }
-    }
-    if cone.len() > limit {
-        return None;
-    }
-    cone.sort_unstable();
-    Some(cone)
+/// Longest op-chain through a node whose neighbours on one side are
+/// `row`: the longest neighbour chain, plus one if the node is an op.
+#[inline]
+fn chain(len: &[u32], row: &[u32], schedulable: bool) -> u32 {
+    let best = row.iter().map(|&i| len[i as usize]).max().unwrap_or(0);
+    best + u32::from(schedulable)
 }
 
 #[cfg(test)]
@@ -450,13 +290,14 @@ mod tests {
 
     #[test]
     fn incremental_matches_rebuild_on_temporal_insertion() {
-        let g0 = iir4_parallel();
-        let mut g = g0.clone();
+        let mut g = iir4_parallel();
         let a2 = g.node_by_name("A2").unwrap();
         let c7 = g.node_by_name("C7").unwrap();
         let mut t = UnitTiming::new(&g);
         g.add_temporal_edge(a2, c7).unwrap();
-        t.add_edge_update(&g, a2, c7);
+        let order = g.topo_order().unwrap();
+        let (preds, succs) = (Csr::preds(&g, &order), Csr::succs(&g, &order));
+        assert!(t.cone_update(&g, &order, &preds, &succs, &[a2, c7], g.node_count()));
         let fresh = UnitTiming::new(&g);
         for n in g.node_ids() {
             assert_eq!(t.asap(n), fresh.asap(n), "depth mismatch at {n}");
@@ -467,7 +308,6 @@ mod tests {
 
     #[test]
     fn cone_update_matches_rebuild_after_mixed_edits() {
-        use localwm_cdfg::Csr;
         let mut g = iir4_parallel();
         let mut order = g.topo_order().unwrap();
         let preds0 = Csr::preds(&g, &order);
@@ -475,8 +315,7 @@ mod tests {
         let mut t = UnitTiming::with_csr(&g, &order, &preds0, &succs0);
 
         // A mixed batch: drop an edge on the critical chain, append a new
-        // op fed by A9. Removal may *shrink* depths — the case the monotone
-        // add_edge_update cannot handle.
+        // op fed by A9. Removal may *shrink* depths.
         let a2 = g.node_by_name("A2").unwrap();
         let a9 = g.node_by_name("A9").unwrap();
         let victim = g
@@ -523,18 +362,5 @@ mod tests {
         let (g, nodes) = chain(2);
         let t = UnitTiming::new(&g);
         assert_eq!(t.asap(nodes[0]), 0);
-    }
-
-    #[test]
-    fn with_order_matches_new() {
-        let g = iir4_parallel();
-        let order = g.topo_order().unwrap();
-        let a = UnitTiming::new(&g);
-        let b = UnitTiming::with_order(&g, &order);
-        for n in g.node_ids() {
-            assert_eq!(a.asap(n), b.asap(n));
-            assert_eq!(a.tail(n), b.tail(n));
-        }
-        assert_eq!(a.critical_path(), b.critical_path());
     }
 }

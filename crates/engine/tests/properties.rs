@@ -10,7 +10,8 @@ use localwm_cdfg::analysis::{fanin_within, levels_from};
 use localwm_cdfg::generators::random_dag;
 use localwm_cdfg::{topo_order, EdgeId, NodeId, OpKind};
 use localwm_engine::{
-    bounded_critical_path, DesignContext, KindBounds, Parallelism, RecordingProbe, UnitTiming,
+    bounded_arrival, possibly_critical, DesignContext, KindBounds, Parallelism, RecordingProbe,
+    UnitTiming,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -27,6 +28,7 @@ enum Op {
     Bounded,
     Mutate,
     Remove,
+    Grow,
 }
 
 fn decode(code: u8) -> Op {
@@ -39,7 +41,7 @@ fn decode(code: u8) -> Op {
         5 => Op::Bounded,
         6 | 7 => Op::Mutate,
         8 => Op::Remove,
-        _ => Op::CriticalPath,
+        _ => Op::Grow,
     }
 }
 
@@ -87,19 +89,28 @@ fn assert_matches_recompute(ctx: &DesignContext, deadline_extra: u32) {
     }
 
     let model = KindBounds::uniform(1, 3);
-    let direct = bounded_critical_path(g, &model);
-    let memo = ctx.bounded_critical_path(&model);
-    assert_eq!((memo.lo, memo.hi), (direct.lo, direct.hi));
+    let direct = bounded_arrival(g, &model);
+    let memo = ctx.bounded_arrival(&model);
+    assert_eq!(memo.critical_path, direct.critical_path);
+    assert_eq!(memo.finish, direct.finish, "finish times diverged");
+    assert_eq!(memo.tail, direct.tail, "tails diverged");
+    assert_eq!(
+        *ctx.possibly_critical_shared(&model),
+        possibly_critical(g, &model),
+        "possibly-critical set diverged"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any interleaving of queries and temporal-edge insertions leaves the
-    /// memoized analyses equal to direct recomputation.
+    /// Any interleaving of queries, temporal-edge insertions, removals and
+    /// node additions leaves the memoized analyses equal to direct
+    /// recomputation. Graphs past 128 nodes have patches that outgrow
+    /// the default `cone_limit` and fall back to a rebuild.
     #[test]
     fn memoized_equals_recomputed_under_interleaving(
-        n in 4usize..40,
+        n in 4usize..200,
         p in 0.05f64..0.4,
         seed in 0u64..1000,
         schedule in proptest::collection::vec(0u8..=255, 1..24),
@@ -155,6 +166,17 @@ proptest! {
                         prop_assert!(ctx.generation() > gen_before,
                             "removal must bump the generation");
                     }
+                }
+                Op::Grow => {
+                    // A new op fed by an existing node: appended at the
+                    // tail of the order, a seed of every patch.
+                    let order = ctx.topo().to_vec();
+                    let anchor = order[(pair + i) % order.len()];
+                    pair += 1;
+                    ctx.mutate(|ed| {
+                        let v = ed.add_node(OpKind::Not);
+                        ed.add_data_edge(anchor, v).expect("forward edge");
+                    });
                 }
             }
             assert_matches_recompute(&ctx, u32::from(code % 5));
@@ -317,4 +339,53 @@ fn csr_is_patched_in_place_on_order_preserving_mutation() {
         assert_eq!(preds.neighbors_of(v), fresh_preds.neighbors_of(v));
         assert_eq!(succs.neighbors_of(v), fresh_succs.neighbors_of(v));
     }
+}
+
+/// A patch that stays small is taken; one that would re-derive more than
+/// `cone_limit` nodes gives up and the context rebuilds, with the same
+/// answers either way.
+#[test]
+fn patches_past_the_cone_limit_fall_back_to_a_rebuild() {
+    let probe = Arc::new(RecordingProbe::new());
+    let mut g = localwm_cdfg::Cdfg::new();
+    let mut chain = vec![g.add_node(OpKind::Input)];
+    let mut edges = Vec::new();
+    for _ in 0..300 {
+        let v = g.add_node(OpKind::Not);
+        edges.push(g.add_data_edge(*chain.last().unwrap(), v).unwrap());
+        chain.push(v);
+    }
+    let mut ctx = DesignContext::new(g).with_probe(probe.clone());
+    assert_eq!(ctx.cone_limit(), 150);
+    let model = KindBounds::uniform(1, 3);
+    let check = |ctx: &DesignContext| {
+        let fresh = UnitTiming::new(ctx.graph());
+        assert_eq!(ctx.critical_path(), fresh.critical_path());
+        for v in ctx.graph().node_ids() {
+            assert_eq!(ctx.unit_timing().tail(v), fresh.tail(v));
+        }
+        let direct = bounded_arrival(ctx.graph(), &model);
+        let memo = ctx.bounded_arrival(&model);
+        assert_eq!((&memo.finish, &memo.tail), (&direct.finish, &direct.tail));
+        assert_eq!(memo.critical_path, direct.critical_path);
+    };
+    check(&ctx);
+
+    // A side op off the head of the chain moves its own values only.
+    let head = chain[1];
+    ctx.mutate(|ed| {
+        let v = ed.add_node(OpKind::Not);
+        ed.add_data_edge(head, v).unwrap();
+    });
+    check(&ctx);
+    assert_eq!(probe.counter_value("engine.unit.incremental"), 1);
+    assert_eq!(probe.counter_value("engine.bounded.patch"), 1);
+
+    // Cutting the second link moves every depth below it: 299 > 150.
+    ctx.mutate(|ed| ed.remove_edge(edges[1])).unwrap();
+    check(&ctx);
+    assert_eq!(probe.counter_value("engine.unit.incremental"), 1);
+    assert_eq!(probe.counter_value("engine.bounded.patch"), 1);
+    assert_eq!(probe.counter_value("engine.unit.build"), 2);
+    assert_eq!(probe.counter_value("engine.bounded.miss"), 2);
 }

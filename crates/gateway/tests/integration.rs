@@ -640,3 +640,49 @@ fn an_over_cap_line_is_answered_then_the_connection_closes() {
     gw.shutdown();
     b0.shutdown();
 }
+
+#[test]
+fn out_of_range_samples_are_a_typed_bad_request_everywhere() {
+    let b0 = start_backend();
+    let b1 = start_backend();
+    let gw = localwm_gateway::start(fast_config(vec![spec("b0", &b0), spec("b1", &b1)], 2))
+        .expect("start gateway");
+    let mut via_gw = connect(&gw);
+    let mut direct =
+        Client::connect_within(&b0.addr().to_string(), Duration::from_secs(5)).unwrap();
+
+    // 10^11 samples once aborted every backend it reached on a 400 GB
+    // allocation; zero samples panicked inside the handler.
+    let design = write_cdfg(&iir4_parallel());
+    for (i, samples) in [100_000_000_000usize, 1_000_001, 0].into_iter().enumerate() {
+        let mut req = Request::new(RequestKind::Analyze);
+        req.id = Some(i as u64);
+        req.design = Some(design.clone());
+        req.samples = Some(samples);
+        for c in [&mut direct, &mut via_gw] {
+            let resp = c.call(&req).unwrap();
+            assert!(!resp.ok, "{samples} samples must be refused");
+            let err = resp.error.expect("typed error");
+            assert_eq!(err.code, ErrorCode::BadRequest, "{}", err.message);
+            assert!(err.message.contains("1..=1000000"), "{}", err.message);
+        }
+    }
+
+    // Every process is still up and answering.
+    for c in [&mut direct, &mut via_gw] {
+        let resp = c.call(&Request::new(RequestKind::Stats)).unwrap();
+        assert!(resp.ok, "{:?}", resp.error);
+    }
+    for b in [&b0, &b1] {
+        let mut c = Client::connect_within(&b.addr().to_string(), Duration::from_secs(5)).unwrap();
+        assert!(c.call(&Request::new(RequestKind::Stats)).unwrap().ok);
+    }
+    let mut req = Request::new(RequestKind::Analyze);
+    req.design = Some(design);
+    req.samples = Some(1);
+    assert!(via_gw.call(&req).unwrap().ok, "one sample is in range");
+
+    gw.shutdown();
+    b0.shutdown();
+    b1.shutdown();
+}

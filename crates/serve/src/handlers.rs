@@ -57,6 +57,23 @@ pub(crate) fn bounds(ctx: &DesignContext, req: &Request) -> Result<KindBounds, S
     Ok(model)
 }
 
+/// Largest Monte-Carlo sample count one `analyze` request may ask for.
+const MAX_SAMPLES: usize = 1_000_000;
+
+/// The request's Monte-Carlo sample count (default 100). Refuses a count
+/// outside `1..=MAX_SAMPLES` before the kernel allocates its rows: one
+/// request for 10^11 samples would otherwise abort the process on a
+/// 400 GB allocation, and `0` has no criticality to report.
+pub(crate) fn samples(req: &Request) -> Result<usize, ServiceError> {
+    let samples = req.samples.unwrap_or(100);
+    if !(1..=MAX_SAMPLES).contains(&samples) {
+        return Err(bad_request(format!(
+            "bad samples: {samples} is outside 1..={MAX_SAMPLES}"
+        )));
+    }
+    Ok(samples)
+}
+
 /// Executes one queued request against the shared cache with
 /// [`Parallelism::Serial`] (the service's default — concurrency comes from
 /// the worker pool).
@@ -193,8 +210,8 @@ pub(crate) fn timing_body(ctx: &DesignContext, req: &Request) -> HandlerResult {
         .filter(|&n| g.kind(n).is_schedulable() && w.mobility(n) == 0)
         .count();
     let model = bounds(ctx, req)?;
-    let interval = ctx.bounded_critical_path(&model);
-    let maybe = ctx.possibly_critical_shared(&model);
+    let arrival = ctx.bounded_arrival(&model);
+    let interval = arrival.critical_path;
     Ok(object(vec![
         ("ops", g.op_count().to_value()),
         ("critical_path", cp.to_value()),
@@ -202,14 +219,17 @@ pub(crate) fn timing_body(ctx: &DesignContext, req: &Request) -> HandlerResult {
         ("zero_mobility", zero_mobility.to_value()),
         ("bounded_lo", interval.lo.to_value()),
         ("bounded_hi", interval.hi.to_value()),
-        ("possibly_critical", maybe.len().to_value()),
+        (
+            "possibly_critical",
+            arrival.possibly_critical().count().to_value(),
+        ),
     ]))
 }
 
 fn analyze(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
+    let samples = samples(req)?;
     let ctx = design_context(cache, req)?;
     let model = bounds(&ctx, req)?;
-    let samples = req.samples.unwrap_or(100);
     let seed = req.seed.unwrap_or(0);
     let report = criticality_in(&ctx, &model, samples, seed, par);
     analyze_body(&ctx, req, &report)

@@ -256,7 +256,8 @@ pub struct Request {
     pub lo: Option<u64>,
     /// Bounded-delay model upper bound per op.
     pub hi: Option<u64>,
-    /// Monte-Carlo criticality sample count (analyze).
+    /// Monte-Carlo criticality sample count (analyze; default 100, at
+    /// most 1,000,000).
     pub samples: Option<usize>,
     /// Monte-Carlo seed (analyze).
     pub seed: Option<u64>,

@@ -113,8 +113,8 @@ impl SessionState {
     ///
     /// Same as the from-scratch `analyze` handler.
     pub fn analyze(&mut self, req: &Request, par: Parallelism) -> HandlerResult {
+        let samples = handlers::samples(req)?;
         let model = handlers::bounds(&self.ctx, req)?;
-        let samples = req.samples.unwrap_or(100);
         let seed = req.seed.unwrap_or(0);
         let report = self
             .crit

@@ -53,12 +53,10 @@
 //! untracked mutation — falls back to a full capture that mirrors
 //! `criticality_in` exactly.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use localwm_cdfg::{Csr, NodeId};
-use localwm_engine::{DesignContext, Parallelism, ResolvedBounds};
+use localwm_engine::{patch_sweep, DesignContext, Parallelism, ResolvedBounds, Sweep};
 
 use crate::statistical::{crit_words, sweep_rows, LaneRows, Sampler, Word};
 use crate::{criticality_in, CriticalityReport, DelayBounds};
@@ -292,12 +290,10 @@ impl<T: Word> LaneState<T> {
     /// Re-derives finish times forward and tails backward from the
     /// `dirty` nodes, then re-flags criticality and moves `hits` with it.
     ///
-    /// Both worklists pop topological positions in sweep order (ascending
-    /// forward, descending backward), and a re-derive pushes its
-    /// neighbors only when some lane changed. So every row a re-derive
-    /// reads is either settled this pass or untouched since the capture —
-    /// the full sweep's order, restricted to where values move — and each
-    /// node is popped at most once per direction.
+    /// Both directions run on the engine's [`patch_sweep`], one pop per
+    /// node and direction for all samples at once: a re-derive
+    /// propagates when any lane changed. Unbounded (`usize::MAX`): the
+    /// only fallback, a recapture, redraws every sample.
     fn patch(
         &mut self,
         hits: &mut [u64],
@@ -318,21 +314,19 @@ impl<T: Word> LaneState<T> {
         } = &mut self.rows;
         let circuit = &mut self.circuit;
         let before = circuit.clone();
-        let mut queued = vec![false; n];
         let mut touched = vec![false; n];
         let mut moved: Vec<usize> = Vec::new();
         let mut row = vec![T::default(); lanes];
         let mut rescan = false;
+        let mut settle = |v: usize, cur: &mut [T], row: &[T]| {
+            cur.copy_from_slice(row);
+            if !std::mem::replace(&mut touched[v], true) {
+                moved.push(v);
+            }
+        };
 
         // Forward: finish = max over predecessors' finish + own draw.
-        let mut fwd: BinaryHeap<Reverse<usize>> = BinaryHeap::with_capacity(dirty.len());
-        for &v in dirty {
-            let p = preds.position(v);
-            queued[p] = true;
-            fwd.push(Reverse(p));
-        }
-        while let Some(Reverse(p)) = fwd.pop() {
-            queued[p] = false;
+        patch_sweep(preds, succs, dirty, Sweep::Forward, usize::MAX, |p| {
             let v = order[p].index();
             row.fill(T::default());
             for &u in preds.row(p) {
@@ -343,7 +337,7 @@ impl<T: Word> LaneState<T> {
             }
             let cur = &mut finish[v * lanes..][..lanes];
             if *cur == row[..] {
-                continue;
+                return false;
             }
             // The circuit delay is the maximum finish: a finish above it
             // raises it, and one that held it and dropped forces a rescan.
@@ -354,19 +348,9 @@ impl<T: Word> LaneState<T> {
                     rescan = true;
                 }
             }
-            cur.copy_from_slice(&row);
-            if !touched[v] {
-                touched[v] = true;
-                moved.push(v);
-            }
-            for &w in succs.row(p) {
-                let wp = succs.position(NodeId::from_index(w as usize));
-                if !queued[wp] {
-                    queued[wp] = true;
-                    fwd.push(Reverse(wp));
-                }
-            }
-        }
+            settle(v, cur, &row);
+            true
+        });
         if rescan {
             circuit.fill(T::default());
             for f in finish.chunks_exact(lanes) {
@@ -375,14 +359,7 @@ impl<T: Word> LaneState<T> {
         }
 
         // Backward: tail = max over successors' draw + tail.
-        let mut bwd: BinaryHeap<usize> = BinaryHeap::with_capacity(dirty.len());
-        for &v in dirty {
-            let p = preds.position(v);
-            queued[p] = true;
-            bwd.push(p);
-        }
-        while let Some(p) = bwd.pop() {
-            queued[p] = false;
+        patch_sweep(preds, succs, dirty, Sweep::Backward, usize::MAX, |p| {
             let v = order[p].index();
             row.fill(T::default());
             for &w in succs.row(p) {
@@ -391,21 +368,11 @@ impl<T: Word> LaneState<T> {
             }
             let cur = &mut tail[v * lanes..][..lanes];
             if *cur == row[..] {
-                continue;
+                return false;
             }
-            cur.copy_from_slice(&row);
-            if !touched[v] {
-                touched[v] = true;
-                moved.push(v);
-            }
-            for &u in preds.row(p) {
-                let up = preds.position(NodeId::from_index(u as usize));
-                if !queued[up] {
-                    queued[up] = true;
-                    bwd.push(up);
-                }
-            }
-        }
+            settle(v, cur, &row);
+            true
+        });
 
         // Re-flag: `finish + tail == circuit`, every lane of every node
         // whose finish or tail moved.
