@@ -1,16 +1,8 @@
 //! Durability benchmark for `localwm-store`: restart cold- vs warm-start
-//! latency and JSON-lines vs `LWMB1` framed-binary codec cost.
-//!
-//! Three questions, all against real servers on loopback TCP:
-//!
-//! * What does a replica restart cost without a store (the full text-parse
-//!   cold path) versus with a populated `--store-dir` (designs rehydrated
-//!   from checksummed binary segments)?
-//! * What does each request pay for its wire encoding — the same warm
-//!   server driven over a JSON-lines connection versus a framed binary
-//!   connection?
-//! * What do the codecs cost in isolation — `serde_json` round-trips
-//!   versus the binary value codec, over the same response objects?
+//! latency, against real servers on loopback TCP. What does a replica
+//! restart cost without a store (the full text-parse cold path) versus
+//! with a populated `--store-dir` (designs rehydrated from checksummed
+//! binary segments)?
 //!
 //! Writes `BENCH_store.json` (override with `--out PATH`; `--quick`
 //! shrinks the design set and repeat counts for CI). Exits nonzero if a
@@ -24,7 +16,6 @@ use localwm_bench::report::render_table;
 use localwm_cdfg::generators::{mediabench, mediabench_apps};
 use localwm_cdfg::write_cdfg;
 use localwm_serve::{Client, Request, RequestKind, ServeConfig, ServerHandle};
-use localwm_store::binval::{decode_value, value_to_bytes};
 use serde::Value;
 
 struct Sample {
@@ -55,9 +46,8 @@ fn timing_request(design: &str) -> Request {
     r
 }
 
-/// Mean per-request latency (and the raw response lines) of sending
-/// `reqs` serially over `client`.
-fn run_pass(client: &mut Client, reqs: &[Request]) -> (f64, Vec<String>) {
+/// Mean per-request latency of sending `reqs` serially over `client`.
+fn run_pass(client: &mut Client, reqs: &[Request]) -> f64 {
     let start = Instant::now();
     let mut lines = Vec::with_capacity(reqs.len());
     for r in reqs {
@@ -68,17 +58,11 @@ fn run_pass(client: &mut Client, reqs: &[Request]) -> (f64, Vec<String>) {
     for l in &lines {
         assert!(l.contains("\"ok\":true"), "benchmark request failed: {l}");
     }
-    (mean, lines)
+    mean
 }
 
-fn connect(handle: &ServerHandle, binary: bool) -> Client {
-    let addr = handle.addr().to_string();
-    let wait = Duration::from_secs(5);
-    if binary {
-        Client::connect_binary_within(&addr, wait).expect("connect binary")
-    } else {
-        Client::connect_within(&addr, wait).expect("connect")
-    }
+fn connect(handle: &ServerHandle) -> Client {
+    Client::connect_within(&handle.addr().to_string(), Duration::from_secs(5)).expect("connect")
 }
 
 /// The restart experiment: the same timing battery against (a) a fresh
@@ -88,26 +72,26 @@ fn restart_experiment(
     designs: &[String],
     store_dir: &std::path::Path,
     out: &mut Vec<Sample>,
-) -> (f64, f64, Vec<String>) {
+) -> (f64, f64) {
     let reqs: Vec<Request> = designs.iter().map(|d| timing_request(d)).collect();
 
     // Cold path: no store, every design is parsed from text.
     let handle = start_server(None);
-    let (cold, _) = run_pass(&mut connect(&handle, false), &reqs);
+    let cold = run_pass(&mut connect(&handle), &reqs);
     handle.shutdown();
 
     // Life 1 populates the store (parse + write-through), then dies.
     let handle = start_server(Some(store_dir));
-    let (first_life, _) = run_pass(&mut connect(&handle, false), &reqs);
+    let first_life = run_pass(&mut connect(&handle), &reqs);
     handle.shutdown();
 
     // Life 2 warm-starts: a fresh LRU, but every design rehydrates from
     // the checksummed segments instead of the text parser.
     let handle = start_server(Some(store_dir));
-    let mut client = connect(&handle, false);
-    let (warm_start, lines) = run_pass(&mut client, &reqs);
+    let mut client = connect(&handle);
+    let warm_start = run_pass(&mut client, &reqs);
     // Same server, second pass: the in-memory warm-cache floor.
-    let (warm_cache, _) = run_pass(&mut client, &reqs);
+    let warm_cache = run_pass(&mut client, &reqs);
     handle.shutdown();
 
     for (name, mean) in [
@@ -122,76 +106,7 @@ fn restart_experiment(
             samples: designs.len(),
         });
     }
-    (cold, warm_start, lines)
-}
-
-/// The wire-codec experiment: one warm server, the same battery repeated
-/// over a JSON-lines connection and a framed binary connection.
-fn transport_experiment(designs: &[String], repeats: usize, out: &mut Vec<Sample>) {
-    let reqs: Vec<Request> = designs.iter().map(|d| timing_request(d)).collect();
-    let handle = start_server(None);
-    // Warm the context cache so the codec is what is measured.
-    run_pass(&mut connect(&handle, false), &reqs);
-    for (name, binary) in [
-        ("store/transport/json-lines", false),
-        ("store/transport/binary-frames", true),
-    ] {
-        let mut client = connect(&handle, binary);
-        let start = Instant::now();
-        for _ in 0..repeats {
-            run_pass(&mut client, &reqs);
-        }
-        let total = repeats * reqs.len();
-        out.push(Sample {
-            name: name.to_owned(),
-            mean_ns: start.elapsed().as_nanos() as f64 / total as f64,
-            samples: total,
-        });
-    }
-    handle.shutdown();
-}
-
-/// The codec-in-isolation experiment: encode+decode round-trips of real
-/// response objects through `serde_json` text and the binary value codec.
-fn codec_experiment(lines: &[String], iters: usize, out: &mut Vec<Sample>) -> (usize, usize) {
-    let values: Vec<Value> = lines
-        .iter()
-        .map(|l| serde_json::from_str(l).expect("response lines are valid JSON"))
-        .collect();
-    let json_bytes: usize = lines.iter().map(String::len).sum();
-    let frame_bytes: usize = values.iter().map(|v| value_to_bytes(v).len()).sum();
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        for v in &values {
-            let text = serde_json::to_string(v).expect("encode json");
-            let back: Value = serde_json::from_str(&text).expect("decode json");
-            assert!(matches!(back, Value::Object(_)));
-        }
-    }
-    let json_ns = start.elapsed().as_nanos() as f64 / (iters * values.len()) as f64;
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        for v in &values {
-            let bytes = value_to_bytes(v);
-            let back = decode_value(&bytes).expect("decode binary");
-            assert!(matches!(back, Value::Object(_)));
-        }
-    }
-    let binary_ns = start.elapsed().as_nanos() as f64 / (iters * values.len()) as f64;
-
-    out.push(Sample {
-        name: "store/codec/json-round-trip".to_owned(),
-        mean_ns: json_ns,
-        samples: iters * values.len(),
-    });
-    out.push(Sample {
-        name: "store/codec/binary-round-trip".to_owned(),
-        mean_ns: binary_ns,
-        samples: iters * values.len(),
-    });
-    (json_bytes, frame_bytes)
+    (cold, warm_start)
 }
 
 fn main() {
@@ -215,10 +130,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let mut samples = Vec::new();
-    let (cold, warm_start, lines) = restart_experiment(&designs, &store_dir, &mut samples);
-    transport_experiment(&designs, if quick { 4 } else { 16 }, &mut samples);
-    let (json_bytes, frame_bytes) =
-        codec_experiment(&lines, if quick { 50 } else { 400 }, &mut samples);
+    let (cold, warm_start) = restart_experiment(&designs, &store_dir, &mut samples);
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let rows: Vec<Vec<String>> = samples
@@ -236,8 +148,7 @@ fn main() {
         render_table(&["benchmark", "mean µs/req", "n"], &rows)
     );
     println!(
-        "warm start is {:.2}x the cold path ({:.0} µs vs {:.0} µs); \
-         binary frames carry {frame_bytes} bytes vs {json_bytes} JSON bytes",
+        "warm start is {:.2}x the cold path ({:.0} µs vs {:.0} µs)",
         warm_start / cold,
         warm_start / 1e3,
         cold / 1e3,
@@ -262,10 +173,7 @@ fn main() {
          (cold), a first --store-dir life (populating), a restarted life over \
          the same dir (warm start: designs rehydrate from checksummed segments \
          instead of the text parser), and a same-process second pass (warm-cache \
-         floor); transport = the warm battery over JSON-lines vs LWMB1 framed \
-         binary connections; codec = encode+decode round-trips of the battery's \
-         response objects in isolation ({json_bytes} JSON bytes vs {frame_bytes} \
-         frame bytes); host had {} CPU core(s)",
+         floor); host had {} CPU core(s)",
         designs.len(),
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     );

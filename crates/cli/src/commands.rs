@@ -13,7 +13,7 @@ use localwm_sched::{
     OpClass, ResourceSet,
 };
 use localwm_sim::{interpret_in, Inputs};
-use localwm_timing::criticality_in;
+use localwm_timing::{criticality_in, MAX_SAMPLES};
 
 type CliResult = Result<(), String>;
 
@@ -81,7 +81,7 @@ USAGE:
                   [--k K] [--deadline N] [--lo N --hi N] [--samples N]
                   [--seed N] [--attack KIND] [--budget B] [--budgets LIST]
                   [--timeout-ms N] [--repeat N]
-                  [--session ID] [--edits FILE] [--binary]
+                  [--session ID] [--edits FILE]
   localwm request --edit-trace FILE --design FILE [--session ID]
                   [--addr HOST:PORT]
   localwm chaos [--seed N] [--requests N] [--faults-per-point N]
@@ -563,6 +563,16 @@ fn analyze(args: &[String]) -> CliResult {
         .positionals
         .first()
         .ok_or("analyze: missing design file")?;
+    // Checked before the design is read: the kernel allocates per sample.
+    let samples: usize = flags
+        .value("--samples")
+        .map(|v| match v.parse() {
+            Ok(n) if (1..=MAX_SAMPLES).contains(&n) => Ok(n),
+            Ok(_) => Err(format!("bad samples `{v}`: outside 1..={MAX_SAMPLES}")),
+            Err(_) => Err(format!("bad samples `{v}`")),
+        })
+        .transpose()?
+        .unwrap_or(200);
     let probe = Arc::new(RecordingProbe::new());
     let ctx = DesignContext::new(load_design(path)?).with_probe(probe.clone());
     let g = ctx.graph();
@@ -583,11 +593,6 @@ fn analyze(args: &[String]) -> CliResult {
         .map(|v| v.parse().map_err(|_| format!("bad hi `{v}`")))
         .transpose()?
         .unwrap_or(3);
-    let samples: usize = flags
-        .value("--samples")
-        .map(|v| v.parse().map_err(|_| format!("bad samples `{v}`")))
-        .transpose()?
-        .unwrap_or(200);
     let seed: u64 = flags
         .value("--seed")
         .map(|v| v.parse().map_err(|_| format!("bad seed `{v}`")))

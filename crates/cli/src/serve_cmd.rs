@@ -60,10 +60,7 @@ pub fn serve(args: &[String]) -> CliResult {
 /// [--schedule FILE] [--fraction F] [--k K] [--deadline N] [--lo N --hi N]
 /// [--samples N] [--seed N] [--attack KIND] [--budget B] [--budgets LIST]
 /// [--timeout-ms N] [--schedule-out FILE]
-/// [--repeat N] [--session ID] [--edits FILE] [--binary]`
-///
-/// `--binary` negotiates the `LWMB1` framed encoding for the connection;
-/// responses decode to the same bytes, so output is unchanged.
+/// [--repeat N] [--session ID] [--edits FILE]`
 ///
 /// Or: `localwm request --edit-trace FILE --design FILE [--session ID]
 /// [--addr A]` — replays a whole edit trace (see `localwm-testkit`'s trace
@@ -99,7 +96,7 @@ pub fn request(args: &[String]) -> CliResult {
             "--timeout-ms",
             "--repeat",
         ],
-        switches: &["--binary"],
+        switches: &[],
         positionals: 1,
     };
     let Some(flags) = parse_args("request", args, &grammar)? else {
@@ -137,13 +134,8 @@ pub fn request(args: &[String]) -> CliResult {
 
     let repeat = flags.parse::<usize>("--repeat")?.unwrap_or(1).max(1);
 
-    let wait = Duration::from_secs(5);
-    let mut client = if flags.has("--binary") {
-        Client::connect_binary_within(addr, wait)
-    } else {
-        Client::connect_within(addr, wait)
-    }
-    .map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client = Client::connect_within(addr, Duration::from_secs(5))
+        .map_err(|e| format!("connecting to {addr}: {e}"))?;
     let (resp, latencies) = client
         .call_repeated(&req, repeat)
         .map_err(|e| format!("request failed: {e}"))?;

@@ -432,43 +432,10 @@ fn store_subcommands_manage_a_populated_store_dir() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A design record in the layout older builds wrote under tag 0: the
-/// binary `Value` encoding of `{"nodes": [...], "edges": [...]}`.
-fn legacy_design_payload(g: &localwm_cdfg::Cdfg) -> Vec<u8> {
-    use serde::Value;
-    let nodes = g
-        .node_ids()
-        .map(|n| {
-            let node = g.node(n).expect("id in range");
-            Value::Object(vec![
-                ("kind".to_owned(), Value::Str(format!("{:?}", node.kind()))),
-                (
-                    "name".to_owned(),
-                    g.node_name(n)
-                        .map_or(Value::Null, |s| Value::Str(s.to_owned())),
-                ),
-                (
-                    "literal".to_owned(),
-                    node.literal().map_or(Value::Null, Value::Int),
-                ),
-            ])
-        })
-        .collect();
-    let edges = g
-        .edges()
-        .map(|e| {
-            Value::Object(vec![
-                ("kind".to_owned(), Value::Str(format!("{:?}", e.kind()))),
-                ("src".to_owned(), Value::UInt(e.src().index() as u64)),
-                ("dst".to_owned(), Value::UInt(e.dst().index() as u64)),
-            ])
-        })
-        .collect();
-    localwm_store::binval::value_to_bytes(&Value::Object(vec![
-        ("nodes".to_owned(), Value::Array(nodes)),
-        ("edges".to_owned(), Value::Array(edges)),
-    ]))
-}
+/// Stands in for a design record older builds wrote under tag 0, the
+/// retired `Value` encoding of the graph. The store never decodes a tag-0
+/// payload, so its bytes are opaque here.
+const LEGACY_DESIGN_PAYLOAD: &[u8] = b"retired tag-0 design record";
 
 /// A store written by an older build holds a tag-0 `Value` design record
 /// and its alias. A server on that store must answer byte-identically to a
@@ -477,7 +444,7 @@ fn legacy_design_payload(g: &localwm_cdfg::Cdfg) -> Vec<u8> {
 /// commands must walk the leftover record without failing.
 #[test]
 fn a_store_from_an_older_build_is_served_and_upgraded() {
-    use localwm_store::binval::fnv1a;
+    use localwm_store::segment::fnv1a;
     use localwm_store::segment::Segment;
 
     let dir = tmp_dir("old-store");
@@ -512,12 +479,8 @@ fn a_store_from_an_older_build_is_served_and_upgraded() {
     // Prime the store the way an older build left it.
     {
         let mut seg = Segment::create(&store_dir, 0).expect("create segment");
-        seg.append_bytes(&Segment::encode_record(
-            0,
-            hash,
-            &legacy_design_payload(&graph),
-        ))
-        .expect("append legacy design");
+        seg.append_bytes(&Segment::encode_record(0, hash, LEGACY_DESIGN_PAYLOAD))
+            .expect("append legacy design");
         seg.append_bytes(&Segment::encode_record(
             1,
             fnv1a(text.as_bytes()),
@@ -556,45 +519,6 @@ fn a_store_from_an_older_build_is_served_and_upgraded() {
     assert_eq!(got, text, "get reads the snapshot record, not the old one");
     let compact = run_ok(localwm().args(["store", "compact", "--dir", sd]));
     assert!(compact.contains("compacted 3 live record(s)"), "{compact}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `localwm request --binary` negotiates the framed encoding and prints
-/// the same response a JSON connection would.
-#[test]
-fn request_binary_flag_round_trips_through_the_framed_encoding() {
-    let dir = tmp_dir("binary");
-    let design = dir.join("iir4.cdfg");
-    run_ok(localwm().args(["gen", "iir4", "-o", design.to_str().unwrap()]));
-    let mut server = spawn_server(None);
-    let addr = server.addr.clone();
-
-    let json = run_ok(localwm().args([
-        "request",
-        "timing",
-        "--addr",
-        &addr,
-        "--design",
-        design.to_str().unwrap(),
-    ]));
-    let binary = run_ok(localwm().args([
-        "request",
-        "timing",
-        "--addr",
-        &addr,
-        "--design",
-        design.to_str().unwrap(),
-        "--binary",
-    ]));
-    assert_eq!(binary, json, "both encodings print the same response");
-
-    let stats = run_ok(localwm().args(["request", "stats", "--addr", &addr]));
-    assert!(
-        stats.contains("\"binary_conns\": 1"),
-        "the binary connection was counted: {stats}"
-    );
-    run_ok(localwm().args(["request", "shutdown", "--addr", &addr]));
-    assert!(server.child.wait().expect("server exit").success());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -714,4 +638,28 @@ fn every_subcommand_validates_its_flags() {
             );
         }
     }
+}
+
+/// `analyze --samples` outside `1..=MAX_SAMPLES` is a flag error: exit 1,
+/// the offending value on stderr and nothing on stdout, so the kernel
+/// never sees a count it cannot run or allocate.
+#[test]
+fn analyze_rejects_out_of_range_samples_before_any_work() {
+    let dir = tmp_dir("samples");
+    let design = dir.join("iir4.cdfg");
+    run_ok(localwm().args(["gen", "iir4", "-o", design.to_str().unwrap()]));
+    for samples in ["0", "1000001"] {
+        let args = ["analyze", design.to_str().unwrap(), "--samples", samples];
+        let (status, stdout, stderr) = run_bounded(&args);
+        assert_eq!(status.code(), Some(1), "--samples {samples} must fail");
+        assert!(
+            stdout.is_empty(),
+            "--samples {samples} must do no work: {stdout}"
+        );
+        assert!(
+            stderr.contains(&format!("bad samples `{samples}`: outside 1..=1000000")),
+            "--samples {samples}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

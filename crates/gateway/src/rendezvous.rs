@@ -11,16 +11,9 @@
 //! stable across gateway restarts and independent of backend addresses
 //! (which may change when a backend is restarted elsewhere).
 
-/// FNV-1a over raw bytes — the same hash family the serve cache uses for
-/// its text aliases, kept dependency-free here.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// FNV-1a over raw bytes: the store's hash, which the serve cache also
+/// keys its text aliases by.
+pub use localwm_store::segment::fnv1a;
 
 /// One SplitMix64 draw: decorrelates the combined key/backend hash so
 /// neighboring keys don't produce correlated rankings.

@@ -42,9 +42,8 @@ use localwm_cdfg::parse_cdfg;
 use localwm_engine::DesignContext;
 use localwm_serve::{
     line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Metrics, Outcome, Request,
-    RequestKind, Response, ServiceError, BINARY_MAGIC,
+    RequestKind, Response, ServiceError,
 };
-use localwm_store::binval::{decode_value, read_frame, value_to_bytes, write_frame};
 use serde::{Serialize, Value};
 
 use crate::pool::{Backend, BackendSpec};
@@ -156,13 +155,10 @@ struct Shared {
     failovers: AtomicU64,
     upstream_errors: AtomicU64,
     inflight: AtomicU64,
-    /// Client-side encoding counters. The gateway relays each client in
-    /// its negotiated encoding; backend pools always speak JSON lines, so
-    /// these count the client edge only.
+    /// Client-edge connection and request-line counters (the backends
+    /// count their own).
     json_conns: AtomicU64,
-    binary_conns: AtomicU64,
     json_requests: AtomicU64,
-    binary_requests: AtomicU64,
     shutting_down: AtomicBool,
     stopped: AtomicBool,
     routes: Mutex<Vec<RouteRecord>>,
@@ -438,16 +434,8 @@ impl Shared {
                         self.json_conns.load(Ordering::SeqCst).to_value(),
                     ),
                     (
-                        "binary_conns".to_owned(),
-                        self.binary_conns.load(Ordering::SeqCst).to_value(),
-                    ),
-                    (
                         "json_requests".to_owned(),
                         self.json_requests.load(Ordering::SeqCst).to_value(),
-                    ),
-                    (
-                        "binary_requests".to_owned(),
-                        self.binary_requests.load(Ordering::SeqCst).to_value(),
                     ),
                 ]),
             ),
@@ -478,18 +466,11 @@ impl Shared {
             "misses",
             "dropped_tail",
         ];
-        // Fleet-wide encoding split, summed over the backends that
-        // answered. The gateway's own client-edge counters live under
-        // `gateway.protocol`; this block is the backends' view (which is
-        // all-JSON today: backend pools relay in JSON lines regardless of
-        // what the client negotiated).
-        let mut protocol_sums = [0u64; 4];
-        const PROTOCOL_FIELDS: [&str; 4] = [
-            "json_conns",
-            "binary_conns",
-            "json_requests",
-            "binary_requests",
-        ];
+        // Fleet-wide connection and request-line counters, summed over the
+        // backends that answered. The gateway's own client-edge counters
+        // live under `gateway.protocol`; this block is the backends' view.
+        let mut protocol_sums = [0u64; 2];
+        const PROTOCOL_FIELDS: [&str; 2] = ["json_conns", "json_requests"];
         // Fleet-wide engine-pool activity (work-stealing counters) and
         // sharded-cache counters, summed over the backends that answered.
         // Cache sums are over each backend's aggregate view — the shard
@@ -726,9 +707,7 @@ pub fn start(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         upstream_errors: AtomicU64::new(0),
         inflight: AtomicU64::new(0),
         json_conns: AtomicU64::new(0),
-        binary_conns: AtomicU64::new(0),
         json_requests: AtomicU64::new(0),
-        binary_requests: AtomicU64::new(0),
         shutting_down: AtomicBool::new(false),
         stopped: AtomicBool::new(false),
         routes: Mutex::new(Vec::new()),
@@ -781,24 +760,6 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-/// Writes one response line re-encoded as a binary frame. Response lines
-/// are our own (or a backend's) serializer output, so the re-parse cannot
-/// fail; the frame carries the identical value tree.
-fn send_frame(stream: &mut TcpStream, line: &str) {
-    let value =
-        serde_json::from_str_value(line).expect("response lines are valid JSON by construction");
-    let _ = write_frame(stream, &value_to_bytes(&value));
-}
-
-/// Answers one decoded request line: the response line to relay, plus
-/// whether the gateway should stop (a `shutdown` was acknowledged).
-fn answer_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
-    match Request::from_line(line) {
-        Ok(req) => answer_parsed(shared, line, &req),
-        Err(msg) => (bad_request_line(msg), false),
-    }
-}
-
 /// The typed `bad_request` response line for an unparseable request —
 /// same parser, same message, same shape a backend would produce, so
 /// unparseable lines stay byte-identical too.
@@ -811,7 +772,8 @@ fn bad_request_line(msg: String) -> String {
     .to_line()
 }
 
-/// [`answer_line`] past the parse: answers an already-decoded request.
+/// Answers one decoded request line: the response line to relay, plus
+/// whether the gateway should stop (a `shutdown` was acknowledged).
 fn answer_parsed(shared: &Arc<Shared>, line: &str, req: &Request) -> (String, bool) {
     match req.kind {
         RequestKind::Stats => {
@@ -934,18 +896,9 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let mut write_half = stream;
     let mut reader = io::BufReader::new(read_half);
-    // Encoding negotiation, mirroring the backends': a first line equal to
-    // the magic switches this client to binary frames. The conversion
-    // happens entirely at this edge — backend pools keep speaking JSON
-    // lines, and both envelopes carry the same value trees.
     let Some(first) = read_line(&mut reader) else {
         return;
     };
-    if matches!(&first, Ok(line) if line.trim() == BINARY_MAGIC) {
-        shared.binary_conns.fetch_add(1, Ordering::SeqCst);
-        binary_conn_loop(shared, &mut reader, &mut write_half);
-        return;
-    }
     shared.json_conns.fetch_add(1, Ordering::SeqCst);
     // The burst relay: each blocking read yields the head of a burst, and
     // complete lines the client already pipelined into our buffer join it
@@ -1032,52 +985,6 @@ fn read_line(reader: &mut io::BufReader<TcpStream>) -> Option<Result<String, Lin
         line.pop();
     }
     Some(Ok(line))
-}
-
-/// The binary client edge: frames in, frames out, with each frame's value
-/// tree re-rendered to a JSON line for the (JSON-speaking) routing path.
-fn binary_conn_loop(
-    shared: &Arc<Shared>,
-    reader: &mut io::BufReader<TcpStream>,
-    write_half: &mut TcpStream,
-) {
-    loop {
-        let body = match read_frame(reader) {
-            Ok(body) => body,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => {
-                let resp = Response::failure(
-                    None,
-                    "invalid",
-                    ServiceError::new(ErrorCode::BadRequest, format!("undecodable frame: {e}")),
-                );
-                send_frame(write_half, &resp.to_line());
-                break;
-            }
-        };
-        shared.binary_requests.fetch_add(1, Ordering::SeqCst);
-        let line = match decode_value(&body) {
-            Ok(value) => serde_json::to_string(&value).expect("value serialization is infallible"),
-            Err(msg) => {
-                let resp = Response::failure(
-                    None,
-                    "invalid",
-                    ServiceError::new(ErrorCode::BadRequest, msg),
-                );
-                send_frame(write_half, &resp.to_line());
-                continue;
-            }
-        };
-        let (resp_line, stop) = answer_line(shared, &line);
-        send_frame(write_half, &resp_line);
-        if stop {
-            shared.stopped.store(true, Ordering::SeqCst);
-            break;
-        }
-        if shared.stopped.load(Ordering::SeqCst) {
-            break;
-        }
-    }
 }
 
 fn prober_loop(shared: &Arc<Shared>, interval: Duration) {

@@ -1,10 +1,10 @@
 //! Reusable IO buffer slabs for the request hot path.
 //!
-//! Every response the server writes used to allocate a fresh `String`
-//! (JSON line) or `Vec<u8>` (binary frame) and drop it after the write.
-//! A [`BufPool`] keeps those slabs alive across requests: workers check
-//! a buffer out, encode into it, and check it back in *cleared but not
-//! freed*, so a warm connection reaches steady state with zero encode
+//! Every response the server writes used to allocate a fresh buffer for
+//! its JSON line and drop it after the write. A [`BufPool`] keeps those
+//! slabs alive across requests: workers check a buffer out, encode the
+//! line straight into it, and check it back in *cleared but not freed*,
+//! so a warm connection reaches steady state with zero encode
 //! allocations. One pool lives on each connection — its slab count is
 //! naturally bounded by the connection's pipeline window.
 
@@ -14,11 +14,10 @@ use std::sync::Mutex;
 /// one huge design sweep cannot pin its peak allocation forever.
 const MAX_POOLED_CAPACITY: usize = 1 << 20;
 
-/// A pool of reusable `Vec<u8>` and `String` slabs.
+/// A pool of reusable byte slabs.
 #[derive(Debug, Default)]
 pub struct BufPool {
-    bytes: Mutex<Vec<Vec<u8>>>,
-    strings: Mutex<Vec<String>>,
+    slabs: Mutex<Vec<Vec<u8>>>,
 }
 
 impl BufPool {
@@ -27,49 +26,28 @@ impl BufPool {
         BufPool::default()
     }
 
-    /// Checks out a byte buffer (empty, capacity retained from past use).
-    pub fn checkout_bytes(&self) -> Vec<u8> {
-        self.bytes
+    /// Checks out a buffer (empty, capacity retained from past use).
+    pub fn checkout(&self) -> Vec<u8> {
+        self.slabs
             .lock()
             .expect("bufpool lock")
             .pop()
             .unwrap_or_default()
     }
 
-    /// Returns a byte buffer to the pool, cleared but with its capacity
-    /// kept for the next checkout.
-    pub fn checkin_bytes(&self, mut buf: Vec<u8>) {
+    /// Returns a buffer to the pool, cleared but with its capacity kept
+    /// for the next checkout.
+    pub fn checkin(&self, mut buf: Vec<u8>) {
         if buf.capacity() > MAX_POOLED_CAPACITY {
             return;
         }
         buf.clear();
-        self.bytes.lock().expect("bufpool lock").push(buf);
+        self.slabs.lock().expect("bufpool lock").push(buf);
     }
 
-    /// Checks out a string buffer (empty, capacity retained).
-    pub fn checkout_string(&self) -> String {
-        self.strings
-            .lock()
-            .expect("bufpool lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a string buffer to the pool, cleared.
-    pub fn checkin_string(&self, mut buf: String) {
-        if buf.capacity() > MAX_POOLED_CAPACITY {
-            return;
-        }
-        buf.clear();
-        self.strings.lock().expect("bufpool lock").push(buf);
-    }
-
-    /// Pooled slab counts `(bytes, strings)` — test observability.
-    pub fn idle(&self) -> (usize, usize) {
-        (
-            self.bytes.lock().expect("bufpool lock").len(),
-            self.strings.lock().expect("bufpool lock").len(),
-        )
+    /// Pooled slab count — test observability.
+    pub fn idle(&self) -> usize {
+        self.slabs.lock().expect("bufpool lock").len()
     }
 }
 
@@ -80,31 +58,21 @@ mod tests {
     #[test]
     fn checkin_clears_but_keeps_capacity() {
         let pool = BufPool::new();
-        let mut b = pool.checkout_bytes();
+        let mut b = pool.checkout();
         b.extend_from_slice(b"hello world");
         let cap = b.capacity();
-        pool.checkin_bytes(b);
-        let b = pool.checkout_bytes();
+        pool.checkin(b);
+        assert_eq!(pool.idle(), 1);
+        let b = pool.checkout();
         assert!(b.is_empty());
         assert_eq!(b.capacity(), cap, "capacity survives the round trip");
-        assert_eq!(pool.idle().0, 0);
-    }
-
-    #[test]
-    fn strings_round_trip_too() {
-        let pool = BufPool::new();
-        let mut s = pool.checkout_string();
-        s.push_str("{\"ok\":true}");
-        pool.checkin_bytes(Vec::new());
-        pool.checkin_string(s);
-        assert_eq!(pool.idle(), (1, 1));
-        assert!(pool.checkout_string().is_empty());
+        assert_eq!(pool.idle(), 0);
     }
 
     #[test]
     fn oversized_slabs_are_dropped_not_pooled() {
         let pool = BufPool::new();
-        pool.checkin_bytes(Vec::with_capacity(MAX_POOLED_CAPACITY + 1));
-        assert_eq!(pool.idle().0, 0, "huge slab must not be retained");
+        pool.checkin(Vec::with_capacity(MAX_POOLED_CAPACITY + 1));
+        assert_eq!(pool.idle(), 0, "huge slab must not be retained");
     }
 }

@@ -41,6 +41,7 @@ use std::sync::{Arc, Mutex};
 
 use localwm_cdfg::{parse_cdfg, Cdfg};
 use localwm_engine::DesignContext;
+use localwm_store::segment::fnv1a;
 use localwm_store::{DesignStore, RecordKind};
 
 /// Default shard count, capped by the capacity so every shard can hold at
@@ -93,15 +94,6 @@ impl Shard {
             capacity: self.capacity,
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The cache; see the module docs.

@@ -1,9 +1,6 @@
 //! A minimal blocking client for the wire protocol, shared by the CLI's
 //! `localwm request`, the gateway's backend pools, the integration tests,
-//! and the load benches. Speaks JSON lines by default; [`Client::connect_binary`]
-//! negotiates the `LWMB1` framed binary encoding instead, behind the same
-//! API — line-level methods transcode at the boundary, so callers (and
-//! differential tests) see byte-identical JSON either way.
+//! and the load benches. Speaks JSON lines, the protocol's one encoding.
 //!
 //! One [`Client`] is one TCP connection; every call reuses it, so repeated
 //! requests ride the warm path (no reconnect, no fresh slow-start). The
@@ -14,21 +11,17 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use localwm_store::binval::{decode_value, read_frame_into, value_to_bytes, write_frame};
-
-use crate::protocol::{Request, Response, BINARY_MAGIC};
+use crate::protocol::{Request, Response};
 
 /// One connection to a running server.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    binary: bool,
     /// Recycled wire buffers: every send encodes into `send_buf` (one
-    /// write syscall per request or burst) and every binary receive lands
-    /// in `frame_buf`; both are cleared per use, never freed, so a warm
+    /// write syscall per request or burst) and the hot-path receives land
+    /// in `line_buf`; both are cleared per use, never freed, so a warm
     /// connection does request/response IO without allocating.
     send_buf: Vec<u8>,
-    frame_buf: Vec<u8>,
     line_buf: String,
 }
 
@@ -45,32 +38,9 @@ impl Client {
         Ok(Client {
             reader,
             writer,
-            binary: false,
             send_buf: Vec::new(),
-            frame_buf: Vec::new(),
             line_buf: String::new(),
         })
-    }
-
-    /// Connects and negotiates the `LWMB1` binary protocol: the magic line
-    /// goes out immediately, and every subsequent request/response on this
-    /// connection is a length-prefixed checksummed frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection and negotiation-write errors.
-    pub fn connect_binary(addr: &str) -> io::Result<Client> {
-        let mut client = Client::connect(addr)?;
-        client.writer.write_all(BINARY_MAGIC.as_bytes())?;
-        client.writer.write_all(b"\n")?;
-        client.writer.flush()?;
-        client.binary = true;
-        Ok(client)
-    }
-
-    /// Whether this connection negotiated the binary encoding.
-    pub fn is_binary(&self) -> bool {
-        self.binary
     }
 
     /// Connects, retrying for up to `wait` while the server is starting.
@@ -82,23 +52,6 @@ impl Client {
         let deadline = std::time::Instant::now() + wait;
         loop {
             match Client::connect(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) if std::time::Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
-    }
-
-    /// [`Client::connect_binary`], retrying for up to `wait` while the
-    /// server is starting.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last connection error once `wait` elapses.
-    pub fn connect_binary_within(addr: &str, wait: Duration) -> io::Result<Client> {
-        let deadline = std::time::Instant::now() + wait;
-        loop {
-            match Client::connect_binary(addr) {
                 Ok(c) => return Ok(c),
                 Err(e) if std::time::Instant::now() >= deadline => return Err(e),
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
@@ -118,34 +71,26 @@ impl Client {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    /// Sends one request in this connection's negotiated encoding.
+    /// Sends one request line.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
         self.send_buf.clear();
-        encode_request(req, self.binary, &mut self.send_buf);
+        encode_request(req, &mut self.send_buf);
         self.writer.write_all(&self.send_buf)?;
         self.writer.flush()
     }
 
     /// Sends one already-encoded JSON request line verbatim (the gateway's
     /// forwarding path: the client's bytes go upstream untouched, so
-    /// responses stay byte-identical to a direct backend call). On a binary
-    /// connection the line is transcoded to a frame at this boundary —
-    /// same value tree, different envelope.
+    /// responses stay byte-identical to a direct backend call).
     ///
     /// # Errors
     ///
-    /// Propagates socket write errors, or `InvalidInput` when a binary
-    /// connection is handed an unparseable line.
+    /// Propagates socket write errors.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        if self.binary {
-            let value = serde_json::from_str_value(line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            return write_frame(&mut self.writer, &value_to_bytes(&value));
-        }
         self.send_buf.clear();
         self.send_buf.extend_from_slice(line.as_bytes());
         self.send_buf.push(b'\n');
@@ -153,22 +98,12 @@ impl Client {
         self.writer.flush()
     }
 
-    /// Reads the next raw response line (without the trailing newline). On
-    /// a binary connection the next frame is read and re-rendered to JSON —
-    /// the protocol's codecs are bijective, so the returned line is
-    /// byte-identical to what a JSON connection would have received.
+    /// Reads the next raw response line (without the trailing newline).
     ///
     /// # Errors
     ///
-    /// Fails on socket errors, a server-closed connection, or (binary) a
-    /// corrupt frame.
+    /// Fails on socket errors or a server-closed connection.
     pub fn recv_line(&mut self) -> io::Result<String> {
-        if self.binary {
-            read_frame_into(&mut self.reader, &mut self.frame_buf)?;
-            let value = decode_value(&self.frame_buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            return Ok(serde_json::to_string(&value).expect("value serialization is infallible"));
-        }
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {
@@ -188,9 +123,6 @@ impl Client {
     /// [`Response::from_line`]. The hot-path primitive under [`Client::recv`],
     /// [`Client::call_repeated`], and [`Client::call_pipelined`].
     fn recv_reused(&mut self) -> io::Result<()> {
-        if self.binary {
-            return read_frame_into(&mut self.reader, &mut self.frame_buf);
-        }
         self.line_buf.clear();
         let n = self.reader.read_line(&mut self.line_buf)?;
         if n == 0 {
@@ -207,12 +139,8 @@ impl Client {
 
     /// Decodes the response last read by [`Client::recv_reused`].
     fn decode_reused(&self) -> io::Result<Response> {
-        let decoded = if self.binary {
-            Response::from_frame(&self.frame_buf)
-        } else {
-            Response::from_line(&self.line_buf)
-        };
-        decoded.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        Response::from_line(&self.line_buf)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 
     /// Reads and decodes the next response.
@@ -256,7 +184,7 @@ impl Client {
         let n = n.max(1);
         let mut wire = std::mem::take(&mut self.send_buf);
         wire.clear();
-        encode_request(req, self.binary, &mut wire);
+        encode_request(req, &mut wire);
         let mut latencies = Vec::with_capacity(n);
         for _ in 0..n {
             let start = Instant::now();
@@ -280,33 +208,18 @@ impl Client {
     /// lines come back in request order. The verbatim-forwarding sibling
     /// of [`Client::call_pipelined`] — the gateway's burst relay uses it
     /// to fan a read-ahead burst upstream in one round trip while keeping
-    /// the forwarded bytes untouched. On a binary connection each line is
-    /// transcoded to a frame at this boundary, exactly as
-    /// [`Client::send_line`] does.
+    /// the forwarded bytes untouched.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors and (binary) unparseable lines; on error
-    /// the connection should be discarded — responses may still be in
-    /// flight.
+    /// Propagates socket errors; on error the connection should be
+    /// discarded — responses may still be in flight.
     pub fn pipeline_lines(&mut self, lines: &[&str]) -> io::Result<Vec<String>> {
         let mut wire = std::mem::take(&mut self.send_buf);
         wire.clear();
         for line in lines {
-            if self.binary {
-                let parsed = serde_json::from_str_value(line);
-                let value = match parsed {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.send_buf = wire;
-                        return Err(io::Error::new(io::ErrorKind::InvalidInput, e.to_string()));
-                    }
-                };
-                write_frame(&mut wire, &value_to_bytes(&value)).expect("vec write is infallible");
-            } else {
-                wire.extend_from_slice(line.as_bytes());
-                wire.push(b'\n');
-            }
+            wire.extend_from_slice(line.as_bytes());
+            wire.push(b'\n');
         }
         let sent = self
             .writer
@@ -337,7 +250,7 @@ impl Client {
         let mut wire = std::mem::take(&mut self.send_buf);
         wire.clear();
         for req in reqs {
-            encode_request(req, self.binary, &mut wire);
+            encode_request(req, &mut wire);
         }
         let sent = self
             .writer
@@ -353,13 +266,8 @@ impl Client {
     }
 }
 
-/// Appends `req`'s wire bytes — a framed body or a JSON line plus
-/// newline — to `out`.
-fn encode_request(req: &Request, binary: bool, out: &mut Vec<u8>) {
-    if binary {
-        write_frame(out, &req.to_frame()).expect("vec write is infallible");
-    } else {
-        out.extend_from_slice(req.to_line().as_bytes());
-        out.push(b'\n');
-    }
+/// Appends `req`'s wire bytes, its JSON line plus newline, to `out`.
+fn encode_request(req: &Request, out: &mut Vec<u8>) {
+    out.extend_from_slice(req.to_line().as_bytes());
+    out.push(b'\n');
 }

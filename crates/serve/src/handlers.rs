@@ -13,7 +13,7 @@ use localwm_attack::{AttackConfig, AttackKind, StrengthConfig};
 use localwm_core::{SchedWmConfig, SchedulingWatermarker, Signature, WatermarkError};
 use localwm_engine::{DesignContext, KindBounds, Parallelism};
 use localwm_sched::{parse_schedule, write_schedule};
-use localwm_timing::criticality_in;
+use localwm_timing::{criticality_in, MAX_SAMPLES};
 use serde::{object, Serialize, Value};
 
 use crate::cache::ContextCache;
@@ -57,13 +57,8 @@ pub(crate) fn bounds(ctx: &DesignContext, req: &Request) -> Result<KindBounds, S
     Ok(model)
 }
 
-/// Largest Monte-Carlo sample count one `analyze` request may ask for.
-const MAX_SAMPLES: usize = 1_000_000;
-
 /// The request's Monte-Carlo sample count (default 100). Refuses a count
-/// outside `1..=MAX_SAMPLES` before the kernel allocates its rows: one
-/// request for 10^11 samples would otherwise abort the process on a
-/// 400 GB allocation, and `0` has no criticality to report.
+/// outside `1..=MAX_SAMPLES` before the kernel allocates its rows.
 pub(crate) fn samples(req: &Request) -> Result<usize, ServiceError> {
     let samples = req.samples.unwrap_or(100);
     if !(1..=MAX_SAMPLES).contains(&samples) {

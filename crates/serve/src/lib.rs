@@ -1,14 +1,11 @@
 //! `localwm-serve`: a concurrent analysis service over the localwm engine.
 //!
 //! A std-only TCP server speaking a JSON-lines protocol (one request
-//! object per line, one response object per line; see [`protocol`]), with
-//! an optional per-connection binary encoding: a client whose first line
-//! is the [`protocol::BINARY_MAGIC`] magic gets length-prefixed
-//! checksummed frames carrying the same value trees (see
-//! [`localwm_store::binval`]). Request kinds: `embed`, `detect`,
-//! `analyze`, `timing`, `stats`, `shutdown` (`cluster_stats` is part of
-//! the shared protocol but answered by `localwm-gateway`; a single backend
-//! rejects it with a typed error).
+//! object per line, one response object per line; see [`protocol`]).
+//! Request kinds: `embed`, `detect`, `analyze`, `timing`, `stats`,
+//! `shutdown` (`cluster_stats` is part of the shared protocol but
+//! answered by `localwm-gateway`; a single backend rejects it with a
+//! typed error).
 //!
 //! The moving parts:
 //!
@@ -60,7 +57,7 @@ pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultSpec, FiredFault, In
 pub use metrics::{Metrics, Outcome};
 pub use protocol::{
     line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request, RequestKind,
-    Response, ServiceError, BINARY_MAGIC, MAX_LINE_BYTES,
+    Response, ServiceError, MAX_LINE_BYTES,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{start, ServeConfig, ServerHandle};

@@ -40,27 +40,17 @@
 //! its side and reads and discards input for a bounded time before it
 //! drops the socket.
 //!
-//! # Binary negotiation
-//!
-//! A client that opens its connection with the single line
-//! [`BINARY_MAGIC`] (`LWMB1`) switches that connection to length-prefixed
-//! binary frames: every subsequent request and response is one
-//! [`localwm_store::binval`] frame carrying the binary encoding of exactly
-//! the same `Value` tree the JSON line would carry. JSON-lines remains the
-//! default and the compatibility path; the two encodings are
-//! decode-equivalent by construction (the testkit differential lane proves
-//! it over the full golden corpus).
+//! JSON lines are the only encoding, from the first line of a connection
+//! on. A line that is not a request object (the opening line of the
+//! retired binary framing among them) gets a typed `bad_request`, and the
+//! connection keeps reading lines.
 
 use std::fmt;
 use std::io::{self, BufRead, Read};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-use localwm_store::binval;
 use serde::{DeError, Deserialize, Serialize, Value};
-
-/// The negotiation line that switches a fresh connection to binary frames.
-pub const BINARY_MAGIC: &str = "LWMB1";
 
 /// The longest JSON request line a server reads, in bytes, not counting
 /// its `\n`: 8 MiB. A 3,000-op design, the largest the benchmark sends,
@@ -366,21 +356,6 @@ impl Request {
     pub fn from_line(line: &str) -> Result<Self, String> {
         let v = serde_json::from_str_value(line).map_err(|e| e.to_string())?;
         Self::from_wire_value(v).map_err(|e| serde_json::Error::from(e).to_string())
-    }
-
-    /// Encodes the request as one binary frame body (the `LWMB1` wire).
-    pub fn to_frame(&self) -> Vec<u8> {
-        binval::value_to_bytes(&self.to_value())
-    }
-
-    /// Decodes one binary frame body.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed bytes or an unknown/missing kind.
-    pub fn from_frame(body: &[u8]) -> Result<Self, String> {
-        let v = binval::decode_value(body)?;
-        Self::from_wire_value(v).map_err(|e| e.to_string())
     }
 
     /// Rebuilds a request from an owned envelope tree, moving the large
@@ -793,21 +768,6 @@ impl Response {
         })
     }
 
-    /// Encodes the response as one binary frame body (the `LWMB1` wire).
-    pub fn to_frame(&self) -> Vec<u8> {
-        binval::value_to_bytes(&self.to_value())
-    }
-
-    /// Decodes one binary frame body.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed bytes or a shape mismatch.
-    pub fn from_frame(body: &[u8]) -> Result<Self, String> {
-        let v = binval::decode_value(body)?;
-        Self::from_wire_value(v).map_err(|e| e.to_string())
-    }
-
     /// A field of the result object, if this is a success carrying one.
     pub fn result_field(&self, name: &str) -> Option<&Value> {
         self.result.as_ref().and_then(|r| r.field(name))
@@ -892,8 +852,6 @@ mod tests {
         sweep.budgets = Some("0,0.15,0.45".to_owned());
         let back = Request::from_line(&sweep.to_line()).unwrap();
         assert_eq!(back, sweep);
-        let frame = Request::from_frame(&req.to_frame()).unwrap();
-        assert_eq!(frame.to_line(), req.to_line());
     }
 
     #[test]
@@ -1030,26 +988,6 @@ mod tests {
             read_request_line(&mut reader, &mut buf).unwrap(),
             LineRead::Eof
         );
-    }
-
-    #[test]
-    fn binary_frames_are_decode_equivalent_to_json_lines() {
-        let mut req = Request::new(RequestKind::Analyze);
-        req.id = Some(12);
-        req.design = Some("node a add\n".to_owned());
-        req.samples = Some(40);
-        req.seed = Some(0);
-        let back = Request::from_frame(&req.to_frame()).unwrap();
-        assert_eq!(back, req);
-        assert_eq!(back.to_line(), req.to_line(), "same canonical JSON");
-
-        let err = ServiceError::new(ErrorCode::Overloaded, "queue full")
-            .with_detail("queue_capacity", 64u64.to_value());
-        let resp = Response::failure(Some(12), "analyze", err);
-        let back = Response::from_frame(&resp.to_frame()).unwrap();
-        assert_eq!(back, resp);
-        assert_eq!(back.to_line(), resp.to_line(), "typed errors included");
-        assert!(Response::from_frame(b"\xFFgarbage").is_err());
     }
 
     #[test]

@@ -29,7 +29,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use localwm_engine::Parallelism;
-use localwm_store::binval::{encode_value, frame_header, read_frame_into, write_frame};
 use localwm_store::DesignStore;
 use serde::{Serialize, Value};
 
@@ -40,7 +39,7 @@ use crate::handlers;
 use crate::metrics::{Metrics, Outcome};
 use crate::protocol::{
     line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request, RequestKind,
-    Response, ServiceError, BINARY_MAGIC,
+    Response, ServiceError,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::singleflight::coalescing_key;
@@ -119,9 +118,6 @@ struct SessionEntry {
 struct Conn {
     stream: Mutex<TcpStream>,
     injector: Option<Arc<FaultInjector>>,
-    /// True once the connection negotiated the `LWMB1` binary protocol;
-    /// responses then go out as frames instead of JSON lines.
-    binary: bool,
     /// Reusable encode buffers: checked out per response, cleared (not
     /// freed) on check-in, so a warm connection encodes without
     /// allocating.
@@ -156,9 +152,7 @@ struct OrderState {
 
 /// A completed response in the ordered-writer's terms.
 enum Outgoing {
-    /// Encoded wire bytes: a JSON line (newline included) or a binary
-    /// frame *body* (its 12-byte header rides a separate vectored slice
-    /// at write time).
+    /// Encoded wire bytes: a JSON line, newline included.
     Write(Vec<u8>),
     /// Injected torn write: fully encoded wire bytes of which only half
     /// go out before the socket dies.
@@ -169,16 +163,10 @@ enum Outgoing {
 }
 
 impl Conn {
-    fn new(
-        stream: TcpStream,
-        injector: Option<Arc<FaultInjector>>,
-        binary: bool,
-        window: u64,
-    ) -> Conn {
+    fn new(stream: TcpStream, injector: Option<Arc<FaultInjector>>, window: u64) -> Conn {
         Conn {
             stream: Mutex::new(stream),
             injector,
-            binary,
             pool: BufPool::new(),
             order: Mutex::new(OrderState::default()),
             wrote: Condvar::new(),
@@ -220,21 +208,13 @@ impl Conn {
         }
     }
 
-    /// The response's wire bytes in this connection's negotiated encoding,
-    /// in a pooled buffer (JSON: line plus newline; binary: frame body
-    /// alone).
+    /// The response's JSON line plus newline, encoded straight into a
+    /// pooled buffer.
     fn encode(&self, resp: &Response) -> Vec<u8> {
-        let mut buf = self.pool.checkout_bytes();
-        if self.binary {
-            encode_value(&resp.to_value(), &mut buf);
-        } else {
-            let mut line = self.pool.checkout_string();
-            resp.write_json(&mut line);
-            buf.extend_from_slice(line.as_bytes());
-            buf.push(b'\n');
-            self.pool.checkin_string(line);
-        }
-        buf
+        let mut line = String::from_utf8(self.pool.checkout()).expect("pooled buffers are empty");
+        resp.write_json(&mut line);
+        line.push('\n');
+        line.into_bytes()
     }
 
     fn send(&self, seq: u64, resp: &Response) {
@@ -250,15 +230,7 @@ impl Conn {
                     // A torn write: a prefix of the encoded response goes
                     // out (at its ordered turn), then the connection dies
                     // mid-response.
-                    let mut wire = Vec::new();
-                    if self.binary {
-                        write_frame(&mut wire, &resp.to_frame()).expect("vec write is infallible");
-                    } else {
-                        let mut line = resp.to_line();
-                        line.push('\n');
-                        wire = line.into_bytes();
-                    }
-                    self.complete(seq, Outgoing::Partial(wire));
+                    self.complete(seq, Outgoing::Partial(self.encode(resp)));
                     return;
                 }
                 _ => {}
@@ -334,43 +306,22 @@ impl Conn {
     fn flush_batch(&self, stream: &mut TcpStream, batch: &mut Vec<Vec<u8>>) {
         match batch.as_slice() {
             [] => return,
-            // The common (unbatched) case stays allocation-free: header
-            // and body as two stack slices.
-            [body] if self.binary => {
-                let header = frame_header(body).expect("response fits the frame cap");
-                let _ = write_all_vectored(stream, &[&header, body]).and_then(|()| stream.flush());
-            }
             [line] => {
                 let _ = stream.write_all(line).and_then(|()| stream.flush());
             }
-            bodies => {
-                let headers: Vec<[u8; 12]> = if self.binary {
-                    bodies
-                        .iter()
-                        .map(|b| frame_header(b).expect("response fits the frame cap"))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut parts: Vec<&[u8]> = Vec::with_capacity(bodies.len() * 2);
-                for (i, body) in bodies.iter().enumerate() {
-                    if self.binary {
-                        parts.push(&headers[i]);
-                    }
-                    parts.push(body);
-                }
-                let _ = write_all_vectored(stream, &parts).and_then(|()| stream.flush());
+            lines => {
+                let _ = write_all_vectored(stream, lines).and_then(|()| stream.flush());
             }
         }
         for buf in batch.drain(..) {
-            self.pool.checkin_bytes(buf);
+            self.pool.checkin(buf);
         }
     }
 }
 
 /// `write_all` across many buffers in as few syscalls as the platform
 /// allows: each round offers every remaining slice to `write_vectored`.
-fn write_all_vectored(stream: &mut TcpStream, parts: &[&[u8]]) -> io::Result<()> {
+fn write_all_vectored(stream: &mut TcpStream, parts: &[Vec<u8>]) -> io::Result<()> {
     let mut i = 0;
     let mut off = 0;
     while i < parts.len() {
@@ -464,13 +415,11 @@ struct Shared {
     executed: AtomicU64,
     panics: AtomicU64,
     busy_workers: AtomicU64,
-    /// Per-encoding connection and request counters, reported in the
-    /// `protocol` stats block. A connection is counted once at negotiation
-    /// time; every decoded request bumps its encoding's request counter.
+    /// Connection and request-line counters, reported in the `protocol`
+    /// stats block. A connection is counted once its first line arrives;
+    /// every non-blank request line is counted.
     json_conns: AtomicU64,
-    binary_conns: AtomicU64,
     json_requests: AtomicU64,
-    binary_requests: AtomicU64,
     workers: usize,
     /// Parallelism for nested engine passes, resolved once at startup from
     /// `LOCALWM_THREADS`. Engine passes are parallelism-invariant, so this
@@ -612,16 +561,8 @@ impl Shared {
                         self.json_conns.load(Ordering::SeqCst).to_value(),
                     ),
                     (
-                        "binary_conns".to_owned(),
-                        self.binary_conns.load(Ordering::SeqCst).to_value(),
-                    ),
-                    (
                         "json_requests".to_owned(),
                         self.json_requests.load(Ordering::SeqCst).to_value(),
-                    ),
-                    (
-                        "binary_requests".to_owned(),
-                        self.binary_requests.load(Ordering::SeqCst).to_value(),
                     ),
                 ]),
             ),
@@ -801,9 +742,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         panics: AtomicU64::new(0),
         busy_workers: AtomicU64::new(0),
         json_conns: AtomicU64::new(0),
-        binary_conns: AtomicU64::new(0),
         json_requests: AtomicU64::new(0),
-        binary_requests: AtomicU64::new(0),
         workers,
         engine_par: Parallelism::from_env(),
         injector,
@@ -884,9 +823,6 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
         }
         Err(_) => return,
     }
-    // Encoding negotiation: a first line equal to the magic switches this
-    // connection to length-prefixed binary frames; anything else is the
-    // first JSON request and the connection stays on JSON lines.
     let mut reader = io::BufReader::new(read_half);
     // One recycled line buffer for the whole connection: cleared per
     // request, never freed, so a warm conn reads without allocating.
@@ -898,43 +834,35 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
         }
         Ok(read) => read,
     };
-    let binary = read == LineRead::Line
-        && std::str::from_utf8(&line).is_ok_and(|first| first.trim() == BINARY_MAGIC);
     let conn = Arc::new(Conn::new(
         stream,
         shared.injector.clone(),
-        binary,
         shared.cfg.pipeline_window as u64,
     ));
-    if binary {
-        shared.binary_conns.fetch_add(1, Ordering::SeqCst);
-        binary_conn_loop(shared, &conn, &mut reader);
-    } else {
-        shared.json_conns.fetch_add(1, Ordering::SeqCst);
-        loop {
-            match read {
-                LineRead::Line => match std::str::from_utf8(&line) {
-                    Ok(text) if handle_json_line(shared, &conn, text) => {}
-                    _ => break,
-                },
-                // Answered in order behind whatever is in flight; once
-                // every answer is on the wire the connection closes
-                // without parsing the rest of the line.
-                LineRead::TooLong => {
-                    if let Some(seq) = conn.assign_seq(&shared.stopped) {
-                        conn.send(seq, &line_too_long());
-                        conn.wait_written(&shared.stopped);
-                        linger_close(&mut reader);
-                    }
-                    break;
+    shared.json_conns.fetch_add(1, Ordering::SeqCst);
+    loop {
+        match read {
+            LineRead::Line => match std::str::from_utf8(&line) {
+                Ok(text) if handle_json_line(shared, &conn, text) => {}
+                _ => break,
+            },
+            // Answered in order behind whatever is in flight; once every
+            // answer is on the wire the connection closes without parsing
+            // the rest of the line.
+            LineRead::TooLong => {
+                if let Some(seq) = conn.assign_seq(&shared.stopped) {
+                    conn.send(seq, &line_too_long());
+                    conn.wait_written(&shared.stopped);
+                    linger_close(&mut reader);
                 }
-                LineRead::Eof => break,
+                break;
             }
-            read = match read_request_line(&mut reader, &mut line) {
-                Ok(read) => read,
-                Err(_) => break,
-            };
+            LineRead::Eof => break,
         }
+        read = match read_request_line(&mut reader, &mut line) {
+            Ok(read) => read,
+            Err(_) => break,
+        };
     }
     shared.conns.lock().expect("conns lock").remove(&conn_id);
 }
@@ -975,68 +903,6 @@ fn handle_json_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) -> bool 
         Ok(req) => dispatch(shared, conn, req, seq),
     }
     !shared.stopped.load(Ordering::SeqCst)
-}
-
-/// The binary-protocol request loop: length-prefixed checksummed frames in,
-/// frames out. A frame that decodes to a non-request shape gets a typed
-/// `bad_request` answer; a frame failing its checksum gets the same answer
-/// and then the connection closes, because stream framing cannot be
-/// trusted past a corrupt length prefix.
-fn binary_conn_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, reader: &mut io::BufReader<TcpStream>) {
-    // One recycled frame buffer for the whole connection.
-    let mut body = Vec::new();
-    loop {
-        match read_frame_into(reader, &mut body) {
-            Ok(()) => {}
-            // EOF at a frame boundary (or a torn tail from a dying peer):
-            // nobody is left to answer.
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => {
-                if let Some(seq) = conn.assign_seq(&shared.stopped) {
-                    conn.send(
-                        seq,
-                        &Response::failure(
-                            None,
-                            "invalid",
-                            ServiceError::new(
-                                ErrorCode::BadRequest,
-                                format!("undecodable frame: {e}"),
-                            ),
-                        ),
-                    );
-                }
-                break;
-            }
-        }
-        if let Some(inj) = &shared.injector {
-            if matches!(
-                inj.check(InjectionPoint::SockRead),
-                Some(FaultAction::DropConnection)
-            ) {
-                let s = conn.stream.lock().expect("conn lock");
-                let _ = s.shutdown(Shutdown::Both);
-                break;
-            }
-        }
-        shared.binary_requests.fetch_add(1, Ordering::SeqCst);
-        let Some(seq) = conn.assign_seq(&shared.stopped) else {
-            break;
-        };
-        match Request::from_frame(&body) {
-            Err(msg) => conn.send(
-                seq,
-                &Response::failure(
-                    None,
-                    "invalid",
-                    ServiceError::new(ErrorCode::BadRequest, msg),
-                ),
-            ),
-            Ok(req) => dispatch(shared, conn, req, seq),
-        }
-        if shared.stopped.load(Ordering::SeqCst) {
-            break;
-        }
-    }
 }
 
 fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request, seq: u64) {

@@ -739,50 +739,6 @@ fn call_repeated_reuses_one_connection_for_the_warm_path() {
 }
 
 #[test]
-fn binary_connection_gets_byte_identical_responses_and_is_counted() {
-    let handle = start_server(2, 16);
-    let design = write_cdfg(&iir4_parallel());
-    let req = timing_request(7, &design);
-
-    // Reference bytes over a JSON-lines connection.
-    let mut json = connect(&handle);
-    json.send(&req).unwrap();
-    let reference = json.recv_line().unwrap();
-
-    // Same request over a negotiated binary connection: the re-rendered
-    // frame must be byte-identical, typed errors included.
-    let mut bin = Client::connect_binary_within(&handle.addr().to_string(), Duration::from_secs(5))
-        .expect("binary connect");
-    assert!(bin.is_binary());
-    bin.send(&req).unwrap();
-    assert_eq!(
-        bin.recv_line().unwrap(),
-        reference,
-        "binary frames must decode to the same response bytes"
-    );
-    let mut bad = Request::new(RequestKind::Timing);
-    bad.id = Some(8);
-    bad.design = Some("this is not a cdfg".to_owned());
-    json.send(&bad).unwrap();
-    bin.send(&bad).unwrap();
-    let bad_json = json.recv_line().unwrap();
-    assert!(bad_json.contains("\"ok\":false"));
-    assert_eq!(bin.recv_line().unwrap(), bad_json);
-
-    let stats = bin.call(&Request::new(RequestKind::Stats)).unwrap();
-    let protocol = stats.result_field("protocol").expect("protocol stats");
-    assert_eq!(protocol.field("json_conns"), Some(&Value::Int(1)));
-    assert_eq!(protocol.field("binary_conns"), Some(&Value::Int(1)));
-    assert_eq!(protocol.field("json_requests"), Some(&Value::Int(2)));
-    assert_eq!(
-        protocol.field("binary_requests"),
-        Some(&Value::Int(3)),
-        "timing + bad request + this stats call"
-    );
-    handle.shutdown();
-}
-
-#[test]
 fn restarted_server_answers_from_the_store_without_reparsing() {
     let dir = std::env::temp_dir().join(format!("localwm-serve-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

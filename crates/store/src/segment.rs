@@ -25,16 +25,40 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::binval::fnv1a_parts;
-
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"LWMSEG1\n";
 
 /// Bytes of record framing before the payload.
 pub const RECORD_HEADER_LEN: u64 = 4 + 1 + 8 + 8;
 
-/// Hard cap on one record payload (matches the frame cap).
-pub const MAX_PAYLOAD_LEN: u32 = crate::binval::MAX_FRAME_LEN;
+/// Hard cap on one record payload; a larger length in a record header is
+/// treated as corruption, before anything is allocated. Generous: the
+/// largest corpus design snapshots to well under a megabyte.
+pub const MAX_PAYLOAD_LEN: u32 = 64 * 1024 * 1024;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`: the hash behind record checksums, and the text
+/// hash serve and the gateway key designs by.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_continue(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a over the concatenation of `parts`, without concatenating them.
+fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
+    parts
+        .iter()
+        .fold(FNV_OFFSET, |h, part| fnv1a_continue(h, part))
+}
+
+/// Folds `bytes` into the running FNV-1a state `h`.
+fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
 
 /// The file name of segment `id`.
 pub fn segment_file_name(id: u32) -> String {

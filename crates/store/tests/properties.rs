@@ -1,6 +1,6 @@
-//! Property-based tests for the design store and the binary codec.
+//! Property-based tests for the design store.
 //!
-//! Three invariants from the issue:
+//! Three invariants:
 //!
 //! * put/get over random CDFGs is identity (through the graph snapshot
 //!   the serve tier stores as a design record),
@@ -13,11 +13,9 @@ use std::path::PathBuf;
 
 use localwm_cdfg::generators::{layered, random_dag, LayeredConfig};
 use localwm_cdfg::{write_cdfg, Cdfg};
-use localwm_store::binval::{decode_value, value_to_bytes};
 use localwm_store::segment::segment_file_name;
 use localwm_store::{DesignStore, RecordKind, StoreConfig};
 use proptest::prelude::*;
-use serde::{Serialize, Value};
 
 fn tmp_dir(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -35,32 +33,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// A graph as a `Value` tree mixing every variant the codec carries:
-/// strings, nulls, signed and unsigned integers, arrays and objects.
-fn dag_value(g: &Cdfg) -> Value {
-    let nodes = g
-        .node_ids()
-        .map(|n| {
-            Value::Object(vec![
-                ("kind".to_owned(), g.kind(n).to_value()),
-                (
-                    "name".to_owned(),
-                    g.node_name(n).map(str::to_owned).to_value(),
-                ),
-                ("depth".to_owned(), Value::Int(-(n.index() as i64))),
-            ])
-        })
-        .collect();
-    let edges = g
-        .edges()
-        .map(|e| Value::Array(vec![e.src().to_value(), e.dst().to_value()]))
-        .collect();
-    Value::Object(vec![
-        ("nodes".to_owned(), Value::Array(nodes)),
-        ("edges".to_owned(), Value::Array(edges)),
-    ])
 }
 
 proptest! {
@@ -92,17 +64,6 @@ proptest! {
         let store = DesignStore::open(&dir).unwrap();
         prop_assert_eq!(store.get(RecordKind::Design, key).unwrap().unwrap(), payload);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The binary codec round-trips arbitrary DAG-shaped trees exactly,
-    /// and re-rendering the decoded tree as JSON reproduces the original
-    /// JSON byte-for-byte (the decode-equivalence the wire lane relies on).
-    #[test]
-    fn binary_value_codec_is_a_bijection(n in 2usize..40, p in 0.0f64..0.5, seed in 0u64..2000) {
-        let v = dag_value(&random_dag(n, p, seed));
-        let back = decode_value(&value_to_bytes(&v)).unwrap();
-        prop_assert_eq!(&back, &v);
-        prop_assert_eq!(serde_json::to_string(&back), serde_json::to_string(&v));
     }
 
     /// Truncating the one segment at *any* byte offset, then reopening,

@@ -8,11 +8,10 @@
 //!   runs regardless of the ephemeral ports. Backends can be killed and
 //!   restarted (on a fresh port) mid-run.
 //! * The **gateway differential lane** ([`gateway_lines`] /
-//!   [`gateway_binary_lines`] / [`run_gateway_differential`]) — the full
-//!   corpus request stream runs through a gateway-fronted cluster, once
-//!   over JSON lines and once over the `LWMB1` framed binary encoding,
-//!   and every lane must produce response lines byte-identical to the
-//!   in-process reference, typed errors included.
+//!   [`run_gateway_differential`]) — the full corpus request stream runs
+//!   through a gateway-fronted cluster, and every lane must produce
+//!   response lines byte-identical to the in-process reference, typed
+//!   errors included.
 //! * The **golden gateway transcript** ([`check_transcript`] /
 //!   [`bless_transcript`]) — the deterministic routing trace (shard key,
 //!   chosen backend, attempts, failovers) of the corpus stream over a
@@ -136,21 +135,6 @@ impl ClusterHarness {
         Ok(c)
     }
 
-    /// [`ClusterHarness::client`], but the connection negotiates the
-    /// `LWMB1` framed binary encoding with the gateway's client edge
-    /// (backend pools stay JSON-lines either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on connect failures.
-    pub fn binary_client(&self) -> Result<Client, String> {
-        let c = Client::connect_binary_within(&self.gateway_addr(), Duration::from_secs(5))
-            .map_err(|e| format!("connect gateway (binary): {e}"))?;
-        c.set_read_timeout(Some(self.cfg.recv_timeout))
-            .map_err(|e| format!("set timeout: {e}"))?;
-        Ok(c)
-    }
-
     /// Kills backend `i` with a drained shutdown (its queued work
     /// completes first, like a polite process death). The gateway keeps
     /// the dead entry and fails over per its state machine.
@@ -231,36 +215,8 @@ fn start_backend(workers: usize) -> Result<ServerHandle, String> {
 ///
 /// Returns a message on socket failures.
 pub fn gateway_lines(requests: &[Request], cfg: ClusterConfig) -> Result<Vec<String>, String> {
-    gateway_lines_with(requests, cfg, false)
-}
-
-/// [`gateway_lines`] over a connection that negotiated the `LWMB1` framed
-/// binary encoding at the gateway's client edge. The returned lines are
-/// the client's decode of each frame; comparing them against the JSON
-/// lanes proves the gateway relays byte-identical response objects in
-/// both encodings.
-///
-/// # Errors
-///
-/// Returns a message on socket failures.
-pub fn gateway_binary_lines(
-    requests: &[Request],
-    cfg: ClusterConfig,
-) -> Result<Vec<String>, String> {
-    gateway_lines_with(requests, cfg, true)
-}
-
-fn gateway_lines_with(
-    requests: &[Request],
-    cfg: ClusterConfig,
-    binary: bool,
-) -> Result<Vec<String>, String> {
     let harness = ClusterHarness::start(cfg)?;
-    let mut client = if binary {
-        harness.binary_client()?
-    } else {
-        harness.client()?
-    };
+    let mut client = harness.client()?;
     let mut lines = Vec::with_capacity(requests.len());
     for req in requests {
         client.send(req).map_err(|e| format!("send: {e}"))?;
@@ -292,10 +248,6 @@ pub fn run_gateway_differential(
             ..ClusterConfig::default()
         };
         lanes.push((format!("gateway-{n}"), gateway_lines(requests, cfg)?));
-        lanes.push((
-            format!("gateway-{n}-binary"),
-            gateway_binary_lines(requests, cfg)?,
-        ));
     }
     let mut mismatches = Vec::new();
     for (lane, lines) in &lanes {

@@ -12,17 +12,11 @@
 //! * `tcp-cold` — a real server on a loopback socket, fresh cache.
 //! * `tcp-warm` — the same server and connection, second pass: every
 //!   context comes from the warm cache and the bytes still may not move.
-//! * `tcp-binary-cold` / `tcp-binary-warm` — the same two passes over a
-//!   connection that negotiated the `LWMB1` framed binary encoding. The
-//!   client decodes each frame back to a JSON line, so lane comparison
-//!   proves both encodings carry byte-identical response objects.
 //! * `tcp-pipelined-w8-cold` / `tcp-pipelined-w8-warm` — the same two
 //!   passes with the client pipelining the stream in bursts of 8 in-flight
 //!   requests. The server's ordered writer must keep response `i` answering
 //!   request `i`, so the lanes must match the lockstep reference byte for
 //!   byte — typed errors included.
-//! * `tcp-binary-pipelined-w8-cold` / `-warm` — the pipelined passes over
-//!   an `LWMB1` framed binary connection.
 //! * `sharded-contended-c0..cN` — concurrent TCP clients each replay the
 //!   *full* stream against one live multi-worker server, so its sharded
 //!   cache, single-flight coalescing, and work-stealing pool run under
@@ -102,31 +96,6 @@ pub fn tcp_lines(
     cache_cap: usize,
     workers: usize,
 ) -> Result<(Vec<String>, Vec<String>), String> {
-    tcp_lines_with(requests, cache_cap, workers, false)
-}
-
-/// [`tcp_lines`] over a connection that negotiated the `LWMB1` framed
-/// binary encoding. The returned lines are the client's decode of each
-/// frame, so comparing them against the JSON lanes proves the encodings
-/// carry byte-identical response objects.
-///
-/// # Errors
-///
-/// As [`tcp_lines`].
-pub fn tcp_binary_lines(
-    requests: &[Request],
-    cache_cap: usize,
-    workers: usize,
-) -> Result<(Vec<String>, Vec<String>), String> {
-    tcp_lines_with(requests, cache_cap, workers, true)
-}
-
-fn tcp_lines_with(
-    requests: &[Request],
-    cache_cap: usize,
-    workers: usize,
-    binary: bool,
-) -> Result<(Vec<String>, Vec<String>), String> {
     let handle = localwm_serve::start(ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers,
@@ -142,12 +111,8 @@ fn tcp_lines_with(
     .map_err(|e| format!("bind: {e}"))?;
     let addr = handle.addr().to_string();
     let run_pass = || -> Result<Vec<String>, String> {
-        let connect = if binary {
-            Client::connect_binary_within
-        } else {
-            Client::connect_within
-        };
-        let mut c = connect(&addr, Duration::from_secs(5)).map_err(|e| format!("connect: {e}"))?;
+        let mut c = Client::connect_within(&addr, Duration::from_secs(5))
+            .map_err(|e| format!("connect: {e}"))?;
         let mut lines = Vec::with_capacity(requests.len());
         for req in requests {
             c.send(req).map_err(|e| format!("send: {e}"))?;
@@ -166,9 +131,9 @@ fn tcp_lines_with(
 /// [`tcp_lines`] with the client pipelining the stream in bursts of
 /// `window` in-flight requests (one buffered write per burst, responses
 /// read back in request order). Runs a cold and a warm pass over one
-/// server, JSON lines or `LWMB1` frames per `binary`. Comparing the
-/// returned lines against the lockstep lanes proves the server's ordered
-/// writer never reorders or drops a pipelined response.
+/// server. Comparing the returned lines against the lockstep lanes proves
+/// the server's ordered writer never reorders or drops a pipelined
+/// response.
 ///
 /// # Errors
 ///
@@ -178,7 +143,6 @@ pub fn tcp_pipelined_lines(
     cache_cap: usize,
     workers: usize,
     window: usize,
-    binary: bool,
 ) -> Result<(Vec<String>, Vec<String>), String> {
     let window = window.max(1);
     let handle = localwm_serve::start(ServeConfig {
@@ -196,12 +160,8 @@ pub fn tcp_pipelined_lines(
     .map_err(|e| format!("bind: {e}"))?;
     let addr = handle.addr().to_string();
     let run_pass = || -> Result<Vec<String>, String> {
-        let connect = if binary {
-            Client::connect_binary_within
-        } else {
-            Client::connect_within
-        };
-        let mut c = connect(&addr, Duration::from_secs(5)).map_err(|e| format!("connect: {e}"))?;
+        let mut c = Client::connect_within(&addr, Duration::from_secs(5))
+            .map_err(|e| format!("connect: {e}"))?;
         let mut lines = Vec::with_capacity(requests.len());
         for burst in requests.chunks(window) {
             let encoded: Vec<String> = burst.iter().map(Request::to_line).collect();
@@ -296,9 +256,7 @@ pub fn run_differential(
 ) -> Result<DifferentialReport, String> {
     let reference = inproc_lines(requests, cache_cap, Parallelism::Serial);
     let (tcp_cold, tcp_warm) = tcp_lines(requests, cache_cap, 2)?;
-    let (bin_cold, bin_warm) = tcp_binary_lines(requests, cache_cap, 2)?;
-    let (pipe_cold, pipe_warm) = tcp_pipelined_lines(requests, cache_cap, 2, 8, false)?;
-    let (bin_pipe_cold, bin_pipe_warm) = tcp_pipelined_lines(requests, cache_cap, 2, 8, true)?;
+    let (pipe_cold, pipe_warm) = tcp_pipelined_lines(requests, cache_cap, 2, 8)?;
     let contended = tcp_contended_lines(requests, cache_cap, 3, 3)?;
     let mut lanes: Vec<(String, Vec<String>)> = vec![
         (
@@ -311,12 +269,8 @@ pub fn run_differential(
         ),
         ("tcp-cold".to_owned(), tcp_cold),
         ("tcp-warm".to_owned(), tcp_warm),
-        ("tcp-binary-cold".to_owned(), bin_cold),
-        ("tcp-binary-warm".to_owned(), bin_warm),
         ("tcp-pipelined-w8-cold".to_owned(), pipe_cold),
         ("tcp-pipelined-w8-warm".to_owned(), pipe_warm),
-        ("tcp-binary-pipelined-w8-cold".to_owned(), bin_pipe_cold),
-        ("tcp-binary-pipelined-w8-warm".to_owned(), bin_pipe_warm),
     ];
     lanes.extend(
         contended

@@ -7,19 +7,13 @@ use localwm_testkit::corpus;
 
 /// The tentpole acceptance criterion: a gateway in front of 1 and 2
 /// backends produces responses byte-identical to the in-process reference
-/// over the *full* golden corpus stream — typed errors included, over
-/// both the JSON-lines and the `LWMB1` framed binary client encodings.
+/// over the *full* golden corpus stream — typed errors included.
 #[test]
 fn gateway_is_byte_identical_over_the_full_corpus() {
     let requests = corpus::corpus_requests(&corpus::builtin_cases());
     let report = cluster::run_gateway_differential(&requests, &[1, 2]).expect("cluster lanes");
     assert_eq!(report.requests, requests.len());
-    for lane in [
-        "gateway-1",
-        "gateway-1-binary",
-        "gateway-2",
-        "gateway-2-binary",
-    ] {
+    for lane in ["gateway-1", "gateway-2"] {
         assert!(
             report.lanes.iter().any(|l| l == lane),
             "lane {lane} missing from {:?}",

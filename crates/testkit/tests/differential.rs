@@ -1,6 +1,6 @@
 //! Acceptance: the differential oracle proves in-process == TCP-cold ==
-//! TCP-warm == serial == parallel == framed-binary, byte for byte, on the
-//! full golden corpus — typed-error cases included.
+//! TCP-warm == serial == parallel == pipelined, byte for byte, on the full
+//! golden corpus — typed-error cases included.
 
 use localwm_testkit::corpus;
 use localwm_testkit::oracle;
@@ -20,12 +20,8 @@ fn corpus_lanes_are_byte_identical() {
         "inproc-env",
         "tcp-cold",
         "tcp-warm",
-        "tcp-binary-cold",
-        "tcp-binary-warm",
         "tcp-pipelined-w8-cold",
         "tcp-pipelined-w8-warm",
-        "tcp-binary-pipelined-w8-cold",
-        "tcp-binary-pipelined-w8-warm",
     ] {
         assert!(
             report.lanes.iter().any(|l| l == lane),

@@ -1,7 +1,7 @@
 //! Acceptance: the robustness kinds (`attack`/`strength`) produce
 //! byte-identical responses through every lane — the in-process handlers
-//! (serial and parallel), a live TCP server (cold/warm, JSON and framed
-//! binary), concurrent sharded clients, and a gateway-fronted cluster —
+//! (serial and parallel), a live TCP server (cold/warm, lockstep and
+//! pipelined), concurrent sharded clients, and a gateway-fronted cluster —
 //! and the service's strength report is byte-identical to the library's
 //! own sweep, so every surface tells the same robustness story.
 

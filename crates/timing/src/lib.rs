@@ -44,4 +44,6 @@ pub use localwm_engine::{
 };
 
 pub use incremental::CriticalityCache;
-pub use statistical::{criticality, criticality_in, criticality_reference, CriticalityReport};
+pub use statistical::{
+    criticality, criticality_in, criticality_reference, CriticalityReport, MAX_SAMPLES,
+};

@@ -395,6 +395,14 @@ pub fn criticality<M: DelayBounds>(
     )
 }
 
+/// The largest Monte-Carlo sample count one analysis may ask for at a
+/// surface that takes it from outside (a service request or a CLI flag).
+/// Both refuse a count outside `1..=MAX_SAMPLES` before anything is
+/// allocated: the kernel holds rows per sample, so 10^11 samples would
+/// abort the process on a 400 GB allocation, and `0` has no criticality
+/// to report.
+pub const MAX_SAMPLES: usize = 1_000_000;
+
 /// [`criticality`] against a shared [`DesignContext`], fanning independent
 /// input vectors across scoped worker threads per `par` and timing them
 /// through the SoA block kernel ([`soa_sweep`]).
