@@ -27,6 +27,6 @@ pub mod transform;
 
 pub use strength::{
     aggregate, attack_once_in, strength_report_in, AttackRun, BudgetRow, StrengthCell,
-    StrengthConfig, StrengthReport, DEFAULT_BUDGETS, SURVIVAL_TOLERANCE,
+    StrengthConfig, StrengthReport, DEFAULT_BUDGETS, MAX_BUDGETS, SURVIVAL_TOLERANCE,
 };
 pub use transform::{apply, AttackConfig, AttackEdit, AttackKind, AttackOutcome, AttackTrace};

@@ -22,6 +22,11 @@ use crate::transform::{apply, AttackConfig, AttackKind, AttackOutcome};
 /// The default budget sweep: identity, light, moderate, heavy, drastic.
 pub const DEFAULT_BUDGETS: [f64; 5] = [0.0, 0.05, 0.15, 0.3, 0.6];
 
+/// The most budget levels one sweep may list. Every level runs every
+/// attack kind, so the service and the CLI refuse a longer list before
+/// any work starts.
+pub const MAX_BUDGETS: usize = 16;
+
 /// Chance-probability tolerance under which a detection still counts as a
 /// match (the toolkit's standard forensic threshold).
 pub const SURVIVAL_TOLERANCE: f64 = 1e-6;

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use localwm_attack::{
     aggregate, attack_once_in, strength_report_in, AttackConfig, AttackKind, BudgetRow,
-    StrengthConfig, StrengthReport, DEFAULT_BUDGETS,
+    StrengthConfig, StrengthReport, DEFAULT_BUDGETS, MAX_BUDGETS,
 };
 use localwm_core::Signature;
 use localwm_engine::{DesignContext, Parallelism};
@@ -53,6 +53,12 @@ fn parse_budgets(flags: &Args) -> Result<Vec<f64>, String> {
                 .collect::<Result<_, _>>()?;
             if budgets.is_empty() {
                 return Err("--budgets lists no budget levels".to_owned());
+            }
+            if budgets.len() > MAX_BUDGETS {
+                return Err(format!(
+                    "--budgets lists {} levels; at most {MAX_BUDGETS} are allowed",
+                    budgets.len()
+                ));
             }
             Ok(budgets)
         }

@@ -663,3 +663,28 @@ fn analyze_rejects_out_of_range_samples_before_any_work() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `strength --budgets` with more than `MAX_BUDGETS` (16) levels is a
+/// flag error before any sweep runs; exactly 16 levels are accepted.
+#[test]
+fn strength_rejects_too_many_budget_levels_before_any_work() {
+    let dir = tmp_dir("budgets");
+    let design = dir.join("iir4.cdfg");
+    let d = design.to_str().unwrap();
+    run_ok(localwm().args(["gen", "iir4", "-o", d]));
+    let too_many = vec!["0.1"; 17].join(",");
+    let args = ["strength", d, "--author", "cap", "--budgets", &too_many];
+    let (status, stdout, stderr) = run_bounded(&args);
+    assert_eq!(status.code(), Some(1), "17 levels must fail");
+    assert!(stdout.is_empty(), "17 levels must do no work: {stdout}");
+    assert!(
+        stderr.contains("--budgets lists 17 levels; at most 16 are allowed"),
+        "{stderr}"
+    );
+    let sixteen = vec!["0"; 16].join(",");
+    let args = ["strength", d, "--author", "cap", "--budgets", &sixteen];
+    let (status, stdout, stderr) = run_bounded(&args);
+    assert!(status.success(), "16 levels are allowed: {stderr}");
+    assert!(!stdout.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}

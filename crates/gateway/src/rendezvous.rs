@@ -11,8 +11,8 @@
 //! stable across gateway restarts and independent of backend addresses
 //! (which may change when a backend is restarted elsewhere).
 
-/// FNV-1a over raw bytes: the store's hash, which the serve cache also
-/// keys its text aliases by.
+/// FNV-1a over raw bytes: the store's hash, which ranks backends by name
+/// here and routes a design that does not parse by its text.
 pub use localwm_store::segment::fnv1a;
 
 /// One SplitMix64 draw: decorrelates the combined key/backend hash so

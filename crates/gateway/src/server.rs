@@ -41,9 +41,10 @@ use std::time::{Duration, Instant};
 use localwm_cdfg::parse_cdfg;
 use localwm_engine::DesignContext;
 use localwm_serve::{
-    line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Metrics, Outcome, Request,
-    RequestKind, Response, ServiceError,
+    line_not_utf8, line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Metrics,
+    Outcome, Request, RequestKind, Response, ServiceError,
 };
+use localwm_store::segment::fingerprint;
 use serde::{Serialize, Value};
 
 use crate::pool::{Backend, BackendSpec};
@@ -137,17 +138,51 @@ impl RouteRecord {
     }
 }
 
-/// Shard-key memo size cap; past it the map is cleared (the memo is a pure
-/// cache — losing it costs a re-parse, never correctness).
+/// Shard-key memo size cap; past it the least recently used design is
+/// forgotten (the memo is a pure cache — losing an entry costs a re-parse,
+/// never correctness).
 const KEY_MEMO_CAP: usize = 512;
+
+/// Design-text [`fingerprint`] → shard key, holding at most
+/// [`KEY_MEMO_CAP`] designs and evicting the least recently used one, so
+/// a hot design stays memoized however many cold ones pass through.
+#[derive(Default)]
+struct KeyMemo {
+    /// Fingerprint → (shard key, tick of last use).
+    map: HashMap<u64, (u64, u64)>,
+    tick: u64,
+}
+
+impl KeyMemo {
+    fn get(&mut self, alias: u64) -> Option<u64> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(&alias).map(|(key, used)| {
+            *used = tick;
+            *key
+        })
+    }
+
+    fn insert(&mut self, alias: u64, key: u64) {
+        if self.map.len() >= KEY_MEMO_CAP && !self.map.contains_key(&alias) {
+            // A scan on insert only: inserts follow a parse, which costs
+            // far more than 512 comparisons.
+            if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, &(_, used))| used) {
+                self.map.remove(&victim);
+            }
+        }
+        self.tick += 1;
+        self.map.insert(alias, (key, self.tick));
+    }
+}
 
 struct Shared {
     cfg: GatewayConfig,
     backends: Vec<Arc<Backend>>,
     names: Vec<String>,
-    /// text-FNV → content-hash shard-key memo, so repeated designs skip
-    /// the parse on the routing path.
-    key_memo: Mutex<HashMap<u64, u64>>,
+    /// Text-fingerprint → content-hash shard-key memo, so repeated
+    /// designs skip the parse on the routing path.
+    key_memo: Mutex<KeyMemo>,
     /// Gateway-side per-kind latency (client-observed, includes failover).
     metrics: Metrics,
     routed: AtomicU64,
@@ -170,10 +205,10 @@ impl Shared {
     /// Requests carrying a design hash to that design's
     /// [`DesignContext::content_hash`] — the *canonical* hash, so two
     /// spellings of the same design land on the same shard and hit the
-    /// same backend's context cache. A raw text FNV memoizes the mapping;
-    /// unparseable designs fall back to the text FNV (the backend will
-    /// produce the error either way, deterministically). Design-free
-    /// requests spread by kind and id.
+    /// same backend's context cache. The text's in-process [`fingerprint`]
+    /// memoizes the mapping; unparseable designs fall back to the text's
+    /// FNV-1a (the backend will produce the error either way,
+    /// deterministically). Design-free requests spread by kind and id.
     ///
     /// Session-scoped requests override all of that: they hash the session
     /// id alone, so `open`, every `mutate`/`timing`/`analyze` carrying the
@@ -189,19 +224,15 @@ impl Shared {
         let Some(text) = &req.design else {
             return rendezvous::fnv1a(req.kind.as_str().as_bytes()) ^ req.id.unwrap_or(0);
         };
-        let alias = rendezvous::fnv1a(text.as_bytes());
-        if let Some(&key) = self.key_memo.lock().expect("memo lock").get(&alias) {
+        let alias = fingerprint(text.as_bytes());
+        if let Some(key) = self.key_memo.lock().expect("memo lock").get(alias) {
             return key;
         }
         let key = match parse_cdfg(text) {
             Ok(graph) => DesignContext::new(graph).content_hash(),
-            Err(_) => alias,
+            Err(_) => rendezvous::fnv1a(text.as_bytes()),
         };
-        let mut memo = self.key_memo.lock().expect("memo lock");
-        if memo.len() >= KEY_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(alias, key);
+        self.key_memo.lock().expect("memo lock").insert(alias, key);
         key
     }
 
@@ -226,13 +257,12 @@ impl Shared {
         ordered
     }
 
-    /// Routes one data request: forwards `raw` verbatim through the
-    /// failover state machine and returns the raw response line to relay
-    /// (upstream bytes untouched, or a locally-built typed error once
-    /// every replica is exhausted).
-    fn route(&self, raw: &str, req: &Request) -> String {
+    /// Routes one data request under its shard `key`: forwards `raw`
+    /// verbatim through the failover state machine and returns the raw
+    /// response line to relay (upstream bytes untouched, or a locally-built
+    /// typed error once every replica is exhausted).
+    fn route(&self, raw: &str, req: &Request, key: u64) -> String {
         let started = Instant::now();
-        let key = self.shard_key(req);
         let candidates = self.candidates(key);
         let timeout = Duration::from_millis(self.cfg.recv_timeout_ms);
         let mut attempts_total: u64 = 0;
@@ -354,7 +384,7 @@ impl Shared {
                         if is_drain_refusal(&resp) {
                             // The backend declined the work; the per-request
                             // machinery fails over past it.
-                            return self.route(line, req);
+                            return self.route(line, req, *key);
                         }
                         let ok = resp.contains("\"ok\":true");
                         backend.record_served(req.kind, started.elapsed(), ok);
@@ -383,7 +413,7 @@ impl Shared {
                     .fetch_add(items.len() as u64, Ordering::SeqCst);
                 items
                     .iter()
-                    .map(|(line, req, _)| self.route(line, req))
+                    .map(|(line, req, key)| self.route(line, req, *key))
                     .collect()
             }
         }
@@ -699,7 +729,7 @@ pub fn start(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
     let shared = Arc::new(Shared {
         backends,
         names,
-        key_memo: Mutex::new(HashMap::new()),
+        key_memo: Mutex::new(KeyMemo::default()),
         metrics: Metrics::new(),
         routed: AtomicU64::new(0),
         retries: AtomicU64::new(0),
@@ -772,9 +802,10 @@ fn bad_request_line(msg: String) -> String {
     .to_line()
 }
 
-/// Answers one decoded request line: the response line to relay, plus
-/// whether the gateway should stop (a `shutdown` was acknowledged).
-fn answer_parsed(shared: &Arc<Shared>, line: &str, req: &Request) -> (String, bool) {
+/// Answers a request the gateway answers itself — a control kind, or a
+/// data request while draining: the response line, plus whether the
+/// gateway should stop (a `shutdown` was acknowledged).
+fn answer_local(shared: &Arc<Shared>, req: &Request) -> (String, bool) {
     match req.kind {
         RequestKind::Stats => {
             let resp = Response::success(req.id, "stats", shared.stats_value());
@@ -796,18 +827,12 @@ fn answer_parsed(shared: &Arc<Shared>, line: &str, req: &Request) -> (String, bo
             (Response::success(req.id, "shutdown", body).to_line(), true)
         }
         _ => {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                let resp = Response::failure(
-                    req.id,
-                    req.kind.as_str(),
-                    ServiceError::new(ErrorCode::ShuttingDown, "gateway is draining"),
-                );
-                return (resp.to_line(), false);
-            }
-            shared.inflight.fetch_add(1, Ordering::SeqCst);
-            let resp_line = shared.route(line, req);
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            (resp_line, false)
+            let resp = Response::failure(
+                req.id,
+                req.kind.as_str(),
+                ServiceError::new(ErrorCode::ShuttingDown, "gateway is draining"),
+            );
+            (resp.to_line(), false)
         }
     }
 }
@@ -825,27 +850,42 @@ fn is_data_kind(kind: RequestKind) -> bool {
     )
 }
 
-/// Answers a read-ahead burst of decoded lines in order: consecutive data
-/// requests that rank the same primary backend are relayed upstream as
-/// one pipelined exchange via [`Shared::route_group`]; everything else
-/// (control kinds, parse errors, drain mode, singleton runs) takes the
-/// per-line path unchanged. Returns the response lines in request order
-/// plus the stop flag; lines after an acknowledged `shutdown` are
-/// dropped, exactly as the lockstep loop never reads past one.
-fn answer_burst(shared: &Arc<Shared>, burst: &[String]) -> (Vec<String>, bool) {
+/// Answers a read-ahead burst of lines in order (`None` stands for a line
+/// that is not UTF-8): consecutive data requests that rank the same
+/// primary backend are relayed upstream as one pipelined exchange via
+/// [`Shared::route_group`]; everything else (control kinds, malformed
+/// lines, drain mode, singleton runs) takes the per-line path unchanged.
+/// Every line is decoded and hashed once: the line that ends a run starts
+/// the next one. Returns the response lines in request order plus the
+/// stop flag; lines after an acknowledged `shutdown` are dropped, exactly
+/// as the lockstep loop never reads past one.
+fn answer_burst(shared: &Arc<Shared>, burst: &[Option<String>]) -> (Vec<String>, bool) {
     let mut out = Vec::with_capacity(burst.len());
+    // The line that ended the last run, decoded, with its shard key when
+    // it is a data request.
+    let mut carried: Option<(&str, Request, Option<u64>)> = None;
     let mut i = 0;
     while i < burst.len() {
-        let req = match Request::from_line(&burst[i]) {
-            Ok(req) => req,
-            Err(msg) => {
-                out.push(bad_request_line(msg));
-                i += 1;
-                continue;
+        let (line, req, key) = match carried.take() {
+            Some(decoded) => decoded,
+            None => {
+                let Some(line) = burst[i].as_deref() else {
+                    out.push(line_not_utf8().to_line());
+                    i += 1;
+                    continue;
+                };
+                match Request::from_line(line) {
+                    Ok(req) => (line, req, None),
+                    Err(msg) => {
+                        out.push(bad_request_line(msg));
+                        i += 1;
+                        continue;
+                    }
+                }
             }
         };
         if !is_data_kind(req.kind) || shared.shutting_down.load(Ordering::SeqCst) {
-            let (resp, stop) = answer_parsed(shared, &burst[i], &req);
+            let (resp, stop) = answer_local(shared, &req);
             out.push(resp);
             if stop {
                 return (out, true);
@@ -855,29 +895,34 @@ fn answer_burst(shared: &Arc<Shared>, burst: &[String]) -> (Vec<String>, bool) {
         }
         // The maximal run of data requests sharing this request's primary
         // backend; each keeps its own shard key for records and fallback.
-        let key = shared.shard_key(&req);
+        let key = key.unwrap_or_else(|| shared.shard_key(&req));
         let primary = shared.candidates(key)[0];
-        let mut items: Vec<(&str, Request, u64)> = vec![(burst[i].as_str(), req, key)];
+        let mut items: Vec<(&str, Request, u64)> = vec![(line, req, key)];
         let mut j = i + 1;
         while j < burst.len() {
-            let Ok(next) = Request::from_line(&burst[j]) else {
+            let Some(line) = burst[j].as_deref() else {
+                break;
+            };
+            let Ok(next) = Request::from_line(line) else {
                 break;
             };
             if !is_data_kind(next.kind) {
+                carried = Some((line, next, None));
                 break;
             }
             let next_key = shared.shard_key(&next);
             if shared.candidates(next_key)[0] != primary {
+                carried = Some((line, next, Some(next_key)));
                 break;
             }
-            items.push((burst[j].as_str(), next, next_key));
+            items.push((line, next, next_key));
             j += 1;
         }
         shared
             .inflight
             .fetch_add(items.len() as u64, Ordering::SeqCst);
-        if let [(line, req, _)] = items.as_slice() {
-            out.push(shared.route(line, req));
+        if let [(line, req, key)] = items.as_slice() {
+            out.push(shared.route(line, req, *key));
         } else {
             out.extend(shared.route_group(primary, &items));
         }
@@ -896,9 +941,10 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let mut write_half = stream;
     let mut reader = io::BufReader::new(read_half);
-    let Some(first) = read_line(&mut reader) else {
+    let first = read_line(&mut reader);
+    if matches!(first, Read::End) {
         return;
-    };
+    }
     shared.json_conns.fetch_add(1, Ordering::SeqCst);
     // The burst relay: each blocking read yields the head of a burst, and
     // complete lines the client already pipelined into our buffer join it
@@ -908,33 +954,24 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     // order, same per-line state machine.
     // A line past the cap is answered after the lines before it, and then
     // the connection closes through `linger_close`.
-    let mut too_long = first.is_err();
-    let mut head = first.ok();
-    let mut burst: Vec<String> = Vec::new();
+    let mut head = Some(first);
+    let mut burst: Vec<Option<String>> = Vec::new();
     let mut out_buf: Vec<u8> = Vec::new();
     loop {
-        let line = match head.take() {
-            Some(line) => line,
-            None if too_long => String::new(),
-            None => match read_line(&mut reader) {
-                Some(Ok(line)) => line,
-                Some(Err(LineRead::TooLong)) => {
-                    too_long = true;
-                    String::new()
-                }
-                _ => break,
-            },
-        };
         burst.clear();
-        if !line.trim().is_empty() {
-            burst.push(line);
+        let mut too_long = false;
+        match head.take().unwrap_or_else(|| read_line(&mut reader)) {
+            Read::Line(line) => burst.push(line),
+            Read::Blank => {}
+            Read::TooLong => too_long = true,
+            Read::End => break,
         }
         while !too_long && burst.len() < MAX_BURST && reader.buffer().contains(&b'\n') {
             match read_line(&mut reader) {
-                Some(Ok(line)) if line.trim().is_empty() => {}
-                Some(Ok(line)) => burst.push(line),
-                Some(Err(LineRead::TooLong)) => too_long = true,
-                _ => break,
+                Read::Line(line) => burst.push(line),
+                Read::Blank => {}
+                Read::TooLong => too_long = true,
+                Read::End => break,
             }
         }
         if burst.is_empty() && !too_long {
@@ -970,21 +1007,37 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// The next request line without its terminator: `None` at end of stream,
-/// on a read error or on invalid UTF-8 (the connection closes unanswered,
-/// as before the cap), and `Err(LineRead::TooLong)` past the cap.
-fn read_line(reader: &mut io::BufReader<TcpStream>) -> Option<Result<String, LineRead>> {
+/// What one [`read_line`] found.
+enum Read {
+    /// A request line without its terminator, or `None` for a line that
+    /// is not UTF-8 (answered with [`line_not_utf8`]).
+    Line(Option<String>),
+    /// A line of whitespace only; it gets no answer.
+    Blank,
+    /// A line past the cap.
+    TooLong,
+    /// End of stream or a read error.
+    End,
+}
+
+/// The next request line, read through the shared line cap.
+fn read_line(reader: &mut io::BufReader<TcpStream>) -> Read {
     let mut raw = Vec::new();
     match read_request_line(reader, &mut raw) {
         Ok(LineRead::Line) => {}
-        Ok(LineRead::TooLong) => return Some(Err(LineRead::TooLong)),
-        Ok(LineRead::Eof) | Err(_) => return None,
+        Ok(LineRead::TooLong) => return Read::TooLong,
+        Ok(LineRead::Eof) | Err(_) => return Read::End,
     }
-    let mut line = String::from_utf8(raw).ok()?;
+    let Ok(mut line) = String::from_utf8(raw) else {
+        return Read::Line(None);
+    };
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
-    Some(Ok(line))
+    if line.trim().is_empty() {
+        return Read::Blank;
+    }
+    Read::Line(Some(line))
 }
 
 fn prober_loop(shared: &Arc<Shared>, interval: Duration) {
@@ -1011,4 +1064,30 @@ fn drain(shared: &Arc<Shared>) -> u64 {
         std::thread::sleep(Duration::from_millis(2));
     }
     shared.routed.load(Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_hot_design_survives_a_stream_of_cold_ones() {
+        let mut memo = KeyMemo::default();
+        memo.insert(0, 100);
+        for cold in 1..=KEY_MEMO_CAP as u64 + 1 {
+            memo.insert(cold, cold + 100);
+            assert_eq!(
+                memo.get(0),
+                Some(100),
+                "hot design lost after {cold} cold ones"
+            );
+            assert!(memo.map.len() <= KEY_MEMO_CAP);
+        }
+        // The least recently used cold design went first.
+        assert_eq!(memo.get(1), None);
+        assert_eq!(
+            memo.get(KEY_MEMO_CAP as u64 + 1),
+            Some(KEY_MEMO_CAP as u64 + 101)
+        );
+    }
 }

@@ -442,8 +442,15 @@ fn malformed_lines_get_the_same_typed_error_as_a_backend() {
         Client::connect_within(&b0.addr().to_string(), Duration::from_secs(5)).unwrap();
     // The first bad line opened a connection in the retired binary
     // framing; it is now one more malformed request on a JSON-lines
-    // connection that keeps answering.
-    let bad_lines = ["LWMB1", "not json", r#"{"id":1}"#, r#"{"kind":"explode"}"#];
+    // connection that keeps answering. The last is not UTF-8; it once
+    // closed the connection unanswered on both edges.
+    let bad_lines: [&[u8]; 5] = [
+        b"LWMB1",
+        b"not json",
+        br#"{"id":1}"#,
+        br#"{"kind":"explode"}"#,
+        b"\xff\xfe",
+    ];
     for client in [&via_gw, &direct] {
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -452,6 +459,7 @@ fn malformed_lines_get_the_same_typed_error_as_a_backend() {
     for bad in bad_lines {
         via_gw.send_line(bad).unwrap();
         direct.send_line(bad).unwrap();
+        let bad = String::from_utf8_lossy(bad);
         let answer = via_gw.recv_line().unwrap();
         assert!(
             answer.contains("\"code\":\"bad_request\""),
@@ -652,6 +660,118 @@ fn out_of_range_samples_are_a_typed_bad_request_everywhere() {
     assert!(via_gw.call(&req).unwrap().ok, "one sample is in range");
 
     gw.shutdown();
+    b0.shutdown();
+    b1.shutdown();
+}
+
+#[test]
+fn a_budget_list_past_the_cap_is_refused_through_the_gateway() {
+    let b0 = start_backend();
+    let gw = localwm_gateway::start(fast_config(vec![spec("b0", &b0)], 1)).expect("start gateway");
+    let mut via_gw = connect(&gw);
+    let mut direct =
+        Client::connect_within(&b0.addr().to_string(), Duration::from_secs(5)).unwrap();
+    let mut req = Request::new(RequestKind::Strength);
+    req.id = Some(3);
+    req.design = Some(write_cdfg(&iir4_parallel()));
+    req.author = Some("cap".to_owned());
+    // One level past `localwm_attack::MAX_BUDGETS`.
+    req.budgets = Some(vec!["0.5"; 17].join(","));
+    let line = req.to_line();
+    via_gw.send_line(&line).unwrap();
+    direct.send_line(&line).unwrap();
+    let answer = via_gw.recv_line().unwrap();
+    assert_eq!(answer, direct.recv_line().unwrap());
+    let resp = localwm_serve::Response::from_line(&answer).unwrap();
+    let err = resp.error.expect("refused");
+    assert_eq!(err.code, ErrorCode::BadRequest);
+    assert!(
+        err.message.contains("more than 16 levels"),
+        "{}",
+        err.message
+    );
+    gw.shutdown();
+    b0.shutdown();
+}
+
+/// A burst whose lines alternate between two primaries — with a control
+/// line and a malformed one mixed in — gets the same answers and the same
+/// route records as the same lines sent one at a time.
+#[test]
+fn an_alternating_burst_matches_the_same_lines_sent_lockstep() {
+    let b0 = start_backend();
+    let b1 = start_backend();
+    let fleet = || vec![spec("b0", &b0), spec("b1", &b1)];
+
+    // Which backend each design lands on.
+    let probe = localwm_gateway::start(fast_config(fleet(), 2)).expect("start gateway");
+    let mut c = connect(&probe);
+    let designs = designs();
+    for (i, design) in designs.iter().enumerate() {
+        assert!(c.call(&timing_request(i as u64, design)).unwrap().ok);
+    }
+    let homes: Vec<String> = probe
+        .routing_trace()
+        .iter()
+        .map(|r| r.backend.clone().expect("served"))
+        .collect();
+    probe.shutdown();
+    let on = |name: &str| {
+        (0..designs.len())
+            .find(|&i| homes[i] == name)
+            .unwrap_or_else(|| panic!("no design lands on {name}: {homes:?}"))
+    };
+    let (a, b) = (&designs[on("b0")], &designs[on("b1")]);
+
+    let mut lines: Vec<String> = Vec::new();
+    for (i, design) in [a, b, a, a, b, a, b, b].into_iter().enumerate() {
+        lines.push(timing_request(10 + i as u64, design).to_line());
+        if i == 2 {
+            lines.push(Request::new(RequestKind::Stats).to_line());
+        }
+        if i == 5 {
+            lines.push("not json".to_owned());
+        }
+    }
+    let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
+
+    let run = |burst: bool| {
+        let gw = localwm_gateway::start(fast_config(fleet(), 2)).expect("start gateway");
+        let mut c = connect(&gw);
+        let answers: Vec<String> = if burst {
+            c.pipeline_lines(&lines).unwrap()
+        } else {
+            lines
+                .iter()
+                .map(|line| {
+                    c.send_line(line).unwrap();
+                    c.recv_line().unwrap()
+                })
+                .collect()
+        };
+        let trace = gw.routing_trace();
+        gw.shutdown();
+        // The gateway's own `stats` answer carries its uptime; compare
+        // only its shape.
+        let answers: Vec<String> = answers
+            .into_iter()
+            .map(|a| {
+                if a.contains("\"kind\":\"stats\"") {
+                    "stats".to_owned()
+                } else {
+                    a
+                }
+            })
+            .collect();
+        (answers, trace)
+    };
+    let (lockstep, lockstep_trace) = run(false);
+    let (burst, burst_trace) = run(true);
+    assert_eq!(lockstep.len(), lines.len());
+    assert_eq!(burst, lockstep);
+    assert_eq!(burst_trace, lockstep_trace);
+    assert_eq!(lockstep_trace.len(), 8, "every timing line is routed once");
+
     b0.shutdown();
     b1.shutdown();
 }

@@ -16,9 +16,9 @@
 //! exactly one shard for the cache's lifetime, and the total capacity is
 //! split across shards exactly (no shard padding — the split sums to the
 //! configured capacity, and eviction is LRU *within* the design's shard).
-//! Text aliases (FNV of raw request bytes → content key) live in a
-//! parallel set of alias shards keyed by the *text* hash, so the
-//! byte-identical-resend fast path is also one shard lock. No operation
+//! Text aliases (the [`fingerprint`] of raw request bytes → content key)
+//! live in a parallel set of alias shards keyed by the *text* hash, so
+//! the byte-identical-resend fast path is also one shard lock. No operation
 //! ever holds two shard locks at once; an alias observed between an
 //! entry's eviction and the deferred alias cleanup is harmless because an
 //! alias hit always re-checks the entry shard — a dangling alias can
@@ -31,7 +31,9 @@
 //! write-through tier: an in-memory miss consults the store (text alias →
 //! content hash → design record, a flat graph snapshot decoded without
 //! touching the text parser), and a true miss parses the text then writes
-//! the design and its alias through to disk. A restarted replica therefore
+//! the design and its alias through to disk. Store alias records stay
+//! keyed by the text's [`fnv1a`], so stores written by older builds keep
+//! resolving; only that miss path pays for it. A restarted replica therefore
 //! warm-starts: its first request per design costs a snapshot decode, not
 //! a parse.
 
@@ -41,7 +43,7 @@ use std::sync::{Arc, Mutex};
 
 use localwm_cdfg::{parse_cdfg, Cdfg};
 use localwm_engine::DesignContext;
-use localwm_store::segment::fnv1a;
+use localwm_store::segment::{fingerprint, fnv1a};
 use localwm_store::{DesignStore, RecordKind};
 
 /// Default shard count, capped by the capacity so every shard can hold at
@@ -51,7 +53,7 @@ const DEFAULT_SHARDS: usize = 8;
 struct Entry {
     ctx: Arc<DesignContext>,
     last_used: u64,
-    /// Request-text FNV aliases pointing at this entry, cleaned from the
+    /// Request-text fingerprints aliasing this entry, cleaned from the
     /// alias shards when the entry is evicted.
     aliases: Vec<u64>,
 }
@@ -204,7 +206,7 @@ impl ContextCache {
     ///
     /// Returns the parse error message for malformed text (never cached).
     pub fn get_or_parse(&self, text: &str) -> Result<Arc<DesignContext>, String> {
-        let text_key = fnv1a(text.as_bytes());
+        let text_key = fingerprint(text.as_bytes());
         let aliased = {
             let map = self.alias_shard(text_key).lock().expect("alias shard lock");
             map.get(&text_key).copied()
@@ -227,15 +229,19 @@ impl ContextCache {
                 map.remove(&text_key);
             }
         }
-        if let Some(store) = &self.store {
-            if let Some(ctx) = load_from_store(store, text_key) {
+        let store_key = self
+            .store
+            .as_ref()
+            .map(|store| (store, fnv1a(text.as_bytes())));
+        if let Some((store, alias)) = store_key {
+            if let Some(ctx) = load_from_store(store, alias) {
                 return Ok(self.insert_ctx(ctx, Some(text_key)));
             }
         }
         let graph = parse_cdfg(text).map_err(|e| e.to_string())?;
         let fresh = DesignContext::new(graph);
-        if let Some(store) = &self.store {
-            write_through(store, &fresh, text_key);
+        if let Some((store, alias)) = store_key {
+            write_through(store, &fresh, alias);
         }
         Ok(self.insert_ctx(fresh, Some(text_key)))
     }

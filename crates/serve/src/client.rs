@@ -83,16 +83,17 @@ impl Client {
         self.writer.flush()
     }
 
-    /// Sends one already-encoded JSON request line verbatim (the gateway's
+    /// Sends one already-encoded request line verbatim (the gateway's
     /// forwarding path: the client's bytes go upstream untouched, so
-    /// responses stay byte-identical to a direct backend call).
+    /// responses stay byte-identical to a direct backend call). Any bytes
+    /// are sent, so tests can send lines that are not UTF-8.
     ///
     /// # Errors
     ///
     /// Propagates socket write errors.
-    pub fn send_line(&mut self, line: &str) -> io::Result<()> {
+    pub fn send_line(&mut self, line: impl AsRef<[u8]>) -> io::Result<()> {
         self.send_buf.clear();
-        self.send_buf.extend_from_slice(line.as_bytes());
+        self.send_buf.extend_from_slice(line.as_ref());
         self.send_buf.push(b'\n');
         self.writer.write_all(&self.send_buf)?;
         self.writer.flush()

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use localwm_attack::{AttackConfig, AttackKind, StrengthConfig};
+use localwm_attack::{AttackConfig, AttackKind, StrengthConfig, MAX_BUDGETS};
 use localwm_core::{SchedWmConfig, SchedulingWatermarker, Signature, WatermarkError};
 use localwm_engine::{DesignContext, KindBounds, Parallelism};
 use localwm_sched::{parse_schedule, write_schedule};
@@ -315,6 +315,11 @@ fn parse_budgets(req: &Request) -> Result<Vec<f64>, ServiceError> {
         if part.is_empty() {
             continue;
         }
+        if out.len() == MAX_BUDGETS {
+            return Err(bad_request(format!(
+                "`budgets` lists more than {MAX_BUDGETS} levels"
+            )));
+        }
         let b: f64 = part
             .parse()
             .map_err(|_| bad_request(format!("bad budget `{part}`")))?;
@@ -330,10 +335,12 @@ fn parse_budgets(req: &Request) -> Result<Vec<f64>, ServiceError> {
 }
 
 fn strength(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
+    // The budget list is checked first: its length multiplies the sweep.
+    let budgets = parse_budgets(req)?;
     let ctx = design_context(cache, req)?;
     let sig = signature(req)?;
     let cfg = StrengthConfig {
-        budgets: parse_budgets(req)?,
+        budgets,
         seed: req.seed.unwrap_or(0),
         wm: wm_config(req),
     };

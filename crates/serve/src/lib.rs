@@ -56,8 +56,8 @@ pub use client::Client;
 pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultSpec, FiredFault, InjectionPoint};
 pub use metrics::{Metrics, Outcome};
 pub use protocol::{
-    line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request, RequestKind,
-    Response, ServiceError, MAX_LINE_BYTES,
+    line_not_utf8, line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request,
+    RequestKind, Response, ServiceError, MAX_LINE_BYTES,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{start, ServeConfig, ServerHandle};

@@ -42,7 +42,8 @@
 //!
 //! JSON lines are the only encoding, from the first line of a connection
 //! on. A line that is not a request object (the opening line of the
-//! retired binary framing among them) gets a typed `bad_request`, and the
+//! retired binary framing among them) gets a typed `bad_request`, a line
+//! that is not UTF-8 gets the one of [`line_not_utf8`], and the
 //! connection keeps reading lines.
 
 use std::fmt;
@@ -131,6 +132,16 @@ pub fn line_too_long() -> Response {
             ErrorCode::BadRequest,
             format!("request line exceeds {MAX_LINE_BYTES} bytes"),
         ),
+    )
+}
+
+/// The typed answer to a request line that is not UTF-8. The connection
+/// keeps reading: the lines behind it are answered as usual.
+pub fn line_not_utf8() -> Response {
+    Response::failure(
+        None,
+        "invalid",
+        ServiceError::new(ErrorCode::BadRequest, "request line is not valid UTF-8"),
     )
 }
 

@@ -38,8 +38,8 @@ use crate::fault::{FaultAction, FaultInjector, FaultPlan, FiredFault, InjectionP
 use crate::handlers;
 use crate::metrics::{Metrics, Outcome};
 use crate::protocol::{
-    line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request, RequestKind,
-    Response, ServiceError,
+    line_not_utf8, line_too_long, linger_close, read_request_line, ErrorCode, LineRead, Request,
+    RequestKind, Response, ServiceError,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::singleflight::coalescing_key;
@@ -842,10 +842,11 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     shared.json_conns.fetch_add(1, Ordering::SeqCst);
     loop {
         match read {
-            LineRead::Line => match std::str::from_utf8(&line) {
-                Ok(text) if handle_json_line(shared, &conn, text) => {}
-                _ => break,
-            },
+            LineRead::Line => {
+                if !handle_line(shared, &conn, &line) {
+                    break;
+                }
+            }
             // Answered in order behind whatever is in flight; once every
             // answer is on the wire the connection closes without parsing
             // the rest of the line.
@@ -867,10 +868,12 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
     shared.conns.lock().expect("conns lock").remove(&conn_id);
 }
 
-/// Handles one JSON wire line; returns `false` once the connection should
-/// close (injected read fault or server stop).
-fn handle_json_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) -> bool {
-    if line.trim().is_empty() {
+/// Handles one wire line; returns `false` once the connection should
+/// close (injected read fault or server stop). A line that is not UTF-8
+/// is answered with [`line_not_utf8`], like any other malformed line.
+fn handle_line(shared: &Arc<Shared>, conn: &Arc<Conn>, raw: &[u8]) -> bool {
+    let line = std::str::from_utf8(raw);
+    if line.is_ok_and(|line| line.trim().is_empty()) {
         return true;
     }
     if let Some(inj) = &shared.injector {
@@ -891,8 +894,9 @@ fn handle_json_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) -> bool 
     let Some(seq) = conn.assign_seq(&shared.stopped) else {
         return false;
     };
-    match Request::from_line(line.trim_end_matches(['\r', '\n'])) {
-        Err(msg) => conn.send(
+    match line.map(|line| Request::from_line(line.trim_end_matches(['\r', '\n']))) {
+        Err(_) => conn.send(seq, &line_not_utf8()),
+        Ok(Err(msg)) => conn.send(
             seq,
             &Response::failure(
                 None,
@@ -900,7 +904,7 @@ fn handle_json_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) -> bool 
                 ServiceError::new(ErrorCode::BadRequest, msg),
             ),
         ),
-        Ok(req) => dispatch(shared, conn, req, seq),
+        Ok(Ok(req)) => dispatch(shared, conn, req, seq),
     }
     !shared.stopped.load(Ordering::SeqCst)
 }

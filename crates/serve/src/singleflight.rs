@@ -17,11 +17,15 @@
 //! `timeout_ms` (deadline) — excluded, so requests differing only in those
 //! still coalesce. Everything else (design text, delay bounds, sample
 //! count, seed, deadline steps) participates: any parameter that changes
-//! the answer changes the key. The hash streams straight over the field
-//! bytes — no request clone, no re-rendered wire line — because this runs
-//! on the connection reader for every analysis request. Each field is
+//! the answer changes the key. No request clone, no re-rendered wire line
+//! — this runs on the connection reader for every analysis request — and
+//! string fields enter as their word-at-a-time
+//! [`fingerprint`](localwm_store::segment::fingerprint), so a design text
+//! is read once, eight bytes per step, not byte by byte. Each field is
 //! prefixed with a distinct tag and (for strings) its length, so field
-//! boundaries can never alias.
+//! boundaries can never alias. The key never leaves the process.
+
+use localwm_store::segment::fingerprint;
 
 use crate::protocol::{Request, RequestKind};
 
@@ -74,12 +78,13 @@ impl Fnv1a {
         }
     }
 
-    /// Absent fields hash nothing; present ones hash tag, length, bytes.
+    /// Absent fields hash nothing; present ones hash tag, length and the
+    /// text's fingerprint.
     fn opt_str(&mut self, tag: u8, s: Option<&str>) {
         if let Some(s) = s {
             self.bytes(&[tag]);
             self.bytes(&(s.len() as u64).to_le_bytes());
-            self.bytes(s.as_bytes());
+            self.bytes(&fingerprint(s.as_bytes()).to_le_bytes());
         }
     }
 

@@ -897,3 +897,67 @@ fn an_over_cap_line_is_answered_then_the_connection_closes() {
     assert!(resp.ok, "{:?}", resp.error);
     handle.shutdown();
 }
+
+#[test]
+fn a_line_that_is_not_utf8_is_answered_and_the_connection_keeps_reading() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = start_server(2, 16);
+
+    // Once the server hung up at the bad line, and the `stats` pipelined
+    // behind it was dropped unanswered.
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"{\"kind\":\"stats\",\"id\":1}\n\xff\xfe\n{\"kind\":\"stats\",\"id\":2}\n")
+        .expect("send three lines");
+    let mut reader = BufReader::new(stream);
+    let mut answers = Vec::new();
+    for _ in 0..3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("an answer");
+        answers.push(localwm_serve::Response::from_line(line.trim_end()).expect("a response"));
+    }
+    assert!(answers[0].ok && answers[0].id == Some(1));
+    let err = answers[1].error.as_ref().expect("a typed error");
+    assert_eq!(err.code, localwm_serve::ErrorCode::BadRequest);
+    assert_eq!(err.message, "request line is not valid UTF-8");
+    assert_eq!(
+        answers[1].to_line(),
+        localwm_serve::line_not_utf8().to_line()
+    );
+    assert!(answers[2].ok && answers[2].id == Some(2));
+    handle.shutdown();
+}
+
+#[test]
+fn a_budget_list_past_the_cap_is_a_typed_bad_request() {
+    let handle = start_server(2, 16);
+    let mut c = connect(&handle);
+    let mut req = Request::new(RequestKind::Strength);
+    req.id = Some(1);
+    req.design = Some(write_cdfg(&iir4_parallel()));
+    req.author = Some("cap".to_owned());
+    let max = localwm_attack::MAX_BUDGETS;
+    // A list this long once ran every attack kind at each level.
+    req.budgets = Some(vec!["0.1"; 1_000_000].join(","));
+    let resp = c.call(&req).unwrap();
+    let err = resp.error.expect("refused");
+    assert_eq!(err.code, localwm_serve::ErrorCode::BadRequest);
+    assert_eq!(
+        err.message,
+        format!("`budgets` lists more than {max} levels")
+    );
+    req.budgets = Some(vec!["0"; max + 1].join(","));
+    assert!(
+        !c.call(&req).unwrap().ok,
+        "{} levels are one too many",
+        max + 1
+    );
+    // Exactly the cap is served.
+    req.budgets = Some(vec!["0"; max].join(","));
+    let resp = c.call(&req).unwrap();
+    assert!(resp.ok, "{:?}", resp.error);
+    handle.shutdown();
+}

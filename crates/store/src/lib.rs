@@ -10,7 +10,8 @@
 //!   warm-starts from disk instead of re-parsing every design from text.
 //!   A design record's payload is the graph's own flat snapshot
 //!   (`Cdfg::to_snapshot`). [`segment::fnv1a`], the record checksum's
-//!   hash, is also the design-text hash the service tiers key by.
+//!   hash, also keys the store's design-text alias records;
+//!   [`segment::fingerprint`] keys the service's in-memory text maps.
 //!
 //! Storage fault injection ([`fault`]) mirrors the serve-side seams: a
 //! seeded plan of short writes, read errors and checksum flips, active
